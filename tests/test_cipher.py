@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from lsqcipher.cipher import CipherSession
 from lsqcipher.errors import NonceReuse
+from lsqcipher.keystream import KeystreamReader, KeystreamSpec
+from lsqcipher.latin import fold_left_div, fold_mul, symbol_dtype
 
 from conftest import cyclic_automaton, random_automaton
 
@@ -177,6 +181,51 @@ class TestMessages:
     def test_bad_engine_name(self, key256):
         with pytest.raises(ValueError):
             CipherSession(key256, SEED, NONCE, 4, engine="nope")
+
+
+class TestScalarOracles:
+    """The message kernel against the scalar FA and QG paths, block by block."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 200, 256, 300])
+    @pytest.mark.parametrize("m", [1, 2, 4, 16])
+    def test_message_matches_scalar_oracles(self, n, m, rng):
+        key = random_automaton(n)
+        q = key.quasigroup()
+        inv = key.invert()
+        msg = rng.integers(0, n, 64)
+        ct = CipherSession(key, SEED, NONCE, m).encrypt_message(msg)
+        stream = KeystreamReader(KeystreamSpec(seed=SEED, nonce=NONCE, m=m, order=n))
+        for p, c in zip(msg.tolist(), ct.tolist()):
+            block = stream.next_block()
+            assert c == key.last_state(p, block) == fold_mul(q, block, p)
+            assert inv.last_state(c, block[::-1]) == fold_left_div(q, block, c) == p
+        pt = CipherSession(key, SEED, NONCE, m).decrypt_message(ct)
+        assert pt.tolist() == msg.tolist()
+
+
+# SHA-256 of encrypt_message output (big-endian symbols) for a fixed key,
+# keystream seed, nonce and message; ciphertexts must not change.
+GOLDEN_SHA256 = {
+    (3, 1): "1a621baba6285c9359336492c04cd0b2cba886c09bd41a3c0a654ee51217241c",
+    (3, 4): "3c5735d5ba02ff683ec1e7d1203b6754a923b759afa0bc6c1313de5c936724e2",
+    (200, 1): "67c624860c4efce76d01fcd9a010674ec49103ae75a01a0babb16a7c37c77be5",
+    (200, 4): "62d0acb9e375fffcb52ee367f8327cf45094b6d0bece44fc5b31d9e7894560f5",
+    (256, 1): "f9e6d9ed6f6bb0c4b175adf9e98a2cab4ed3c45dc01964ce1bbdba3529a12ab0",
+    (256, 4): "10f90d999cd1536ad7eb184524c6e58eca5208b7b34fdce88e2289cc6d008747",
+    (300, 1): "ef1cde1ea915908398515b78d8dc728085c3d27a1f374fc1a8368ead549481d4",
+    (300, 4): "8e376365f1a52c743cc905f87b6ae960ba8ad14b9a7570c21e6fec7a135ae356",
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(GOLDEN_SHA256))
+@pytest.mark.parametrize("engine", ["fa", "qg"])
+def test_golden_ciphertext(n, m, engine):
+    key = random_automaton(n, seed=b"golden-vector-key")
+    msg = np.random.default_rng(2022).integers(0, n, 1000)
+    ct = CipherSession(key, SEED, NONCE, m, engine=engine).encrypt_message(msg)
+    assert ct.dtype == symbol_dtype(n)
+    digest = hashlib.sha256(ct.astype(">u2" if n > 256 else np.uint8).tobytes())
+    assert digest.hexdigest() == GOLDEN_SHA256[(n, m)]
 
 
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyInput
 from .latin import LatinSquare, Quasigroup, validate_latin
 
@@ -72,20 +70,11 @@ class KeyAutomaton:
         """The unique automaton B with delta_B(delta(a, b), b) = a.
 
         Each input row of the table is a permutation of the states; the
-        inverse automaton's row is its inverse permutation. Cached.
+        inverse automaton's row is its inverse permutation. The table is the
+        square's cached row inverse, shared with the quasigroup's left
+        division.
         """
-        cached = getattr(self, "_inverse", None)
-        if cached is not None:
-            return cached
-        n = self.order
-        t = self.delta.entries
-        inv = np.empty_like(t)
-        states = np.arange(n)
-        for x in range(n):
-            inv[x, t[x].astype(np.intp)] = states
-        result = KeyAutomaton(n, LatinSquare(n, inv))
-        object.__setattr__(self, "_inverse", result)
-        return result
+        return KeyAutomaton(self.order, self.delta.row_inverse())
 
     def quasigroup(self) -> Quasigroup:
         """The quasigroup with x*y = delta(y, x); shares this table. Cached."""

@@ -1,10 +1,13 @@
-"""The two equivalent stream-cipher engines.
+"""Stream-cipher sessions over a Latin-square key.
 
-FA form: c_i is the last state reached by running keystream block r_i from
-state p_i; decryption runs the reversed block on the inverse automaton.
-QG form: c_i folds the block through the quasigroup product; decryption
-folds through left division. Both produce identical ciphertexts from
-identical key material and stream state.
+Each ciphertext symbol c_i is the last state reached by running keystream
+block r_i from state p_i on the key automaton; read as a quasigroup, the
+same lookups fold the block through the product. Decryption runs the
+mirrored block on the key's row inverse, which is also left division.
+Messages go through one vectorised kernel, `_chain`, whatever the engine.
+The engine names the reading the per-symbol methods use: "fa"
+(`last_state`) or "qg" (`fold_mul` / `fold_left_div`). Both give identical
+ciphertexts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .errors import NonceReuse
 from .keystream import KeystreamReader, KeystreamSpec
-from .latin import Quasigroup, fold_left_div, fold_mul
+from .latin import fold_left_div, fold_mul
 
 ENGINES = ("fa", "qg")
 
@@ -66,27 +69,21 @@ class CipherSession:
 
     # --- message level ---
 
-    def _claim(self):
+    def encrypt_message(self, plaintext) -> np.ndarray:
+        """Encrypt a whole symbol sequence; symbol i consumes stream block i."""
+        return self._message(plaintext, self.key.delta.entries, reverse=False)
+
+    def decrypt_message(self, ciphertext) -> np.ndarray:
+        """Invert encrypt_message: the mirrored blocks on the row inverse."""
+        return self._message(ciphertext, self.inverse_key.delta.entries, reverse=True)
+
+    def _message(self, seq, table: np.ndarray, reverse: bool) -> np.ndarray:
         if self._used:
             raise NonceReuse("session already processed a message; use a fresh nonce")
         self._used = True
-
-    def encrypt_message(self, plaintext) -> np.ndarray:
-        """Encrypt a whole symbol sequence; symbol i consumes stream block i."""
-        self._claim()
-        p = _as_symbols(plaintext, self.key.order)
-        ks = self.stream.take(len(p) * self.m).reshape(len(p), self.m)
-        if self.engine == "fa":
-            return _fa_transform(self.key, p, ks, reverse=False)
-        return _qg_encrypt(self.quasigroup, p, ks)
-
-    def decrypt_message(self, ciphertext) -> np.ndarray:
-        self._claim()
-        c = _as_symbols(ciphertext, self.key.order)
-        ks = self.stream.take(len(c) * self.m).reshape(len(c), self.m)
-        if self.engine == "fa":
-            return _fa_transform(self.inverse_key, c, ks, reverse=True)
-        return _qg_decrypt(self.quasigroup, c, ks)
+        symbols = _as_symbols(seq, self.key.order)
+        ks = self.stream.take(len(symbols) * self.m).reshape(len(symbols), self.m)
+        return _chain(table, symbols, ks, reverse)
 
 
 def _as_symbols(seq, order: int) -> np.ndarray:
@@ -101,33 +98,16 @@ def _as_symbols(seq, order: int) -> np.ndarray:
     return arr.astype(np.intp, copy=False)
 
 
-def _fa_transform(automaton: KeyAutomaton, start: np.ndarray, ks: np.ndarray,
-                  reverse: bool) -> np.ndarray:
+def _chain(table: np.ndarray, start: np.ndarray, ks: np.ndarray,
+           reverse: bool) -> np.ndarray:
     """Run each keystream block from the matching start state, vectorized
-    across message positions. `reverse` feeds blocks mirrored (decryption)."""
-    n = automaton.order
-    flat = automaton.delta.entries.reshape(-1)
+    across message positions: state = table[k, state] for each block symbol
+    k. `reverse` feeds blocks mirrored (decryption)."""
+    n = table.shape[0]
+    flat = table.reshape(-1)
     m = ks.shape[1]
     state = start
     cols = range(m - 1, -1, -1) if reverse else range(m)
     for j in cols:
         state = flat[ks[:, j].astype(np.intp) * n + state].astype(np.intp)
-    return state.astype(automaton.delta.entries.dtype, copy=False)
-
-
-def _qg_encrypt(q: Quasigroup, p: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    n = q.order
-    flat = q.mul_flat
-    acc = p
-    for j in range(ks.shape[1]):
-        acc = flat[ks[:, j].astype(np.intp) * n + acc].astype(np.intp)
-    return acc.astype(flat.dtype, copy=False)
-
-
-def _qg_decrypt(q: Quasigroup, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    n = q.order
-    flat = q.left_div_flat
-    acc = c
-    for j in range(ks.shape[1] - 1, -1, -1):
-        acc = flat[ks[:, j].astype(np.intp) * n + acc].astype(np.intp)
-    return acc.astype(flat.dtype, copy=False)
+    return state.astype(table.dtype, copy=False)

@@ -20,10 +20,11 @@ from .errors import (
     BadMagic,
     LengthMismatch,
     NotLatin,
+    OutOfRange,
     TruncatedFile,
     UnsupportedVersion,
 )
-from .latin import LatinSquare, is_latin, symbol_dtype
+from .latin import MAX_ORDER, LatinSquare, is_latin, symbol_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
@@ -133,6 +134,8 @@ def read_container(data: bytes) -> CipherContainer:
         raise UnsupportedVersion(f"container version {version}")
     (order,) = struct.unpack(">I", data[pos:pos + 4])
     pos += 4
+    if not 2 <= order <= MAX_ORDER:
+        raise OutOfRange(f"container order {order} outside [2, {MAX_ORDER}]")
     m = data[pos]
     pos += 1
     if m < 1:
@@ -148,6 +151,8 @@ def read_container(data: bytes) -> CipherContainer:
     if len(data) > total:
         raise LengthMismatch(f"container has {len(data) - total} trailing bytes")
     payload = _symbols_from(data[pos:total - 4], order)
+    if payload.size and payload.max() >= order:
+        raise OutOfRange(f"payload symbol {payload.max()} >= order {order}")
     (crc,) = struct.unpack(">I", data[total - 4:total])
     return CipherContainer(order=order, m=m, nonce=nonce, payload=payload,
                            plaintext_crc=crc)

@@ -87,3 +87,7 @@ class UnsupportedVersion(CodecError):
 
 class LengthMismatch(CodecError):
     pass
+
+
+class OutOfRange(CodecError):
+    """A container order outside [2, MAX_ORDER] or a symbol outside [0, order)."""

@@ -53,6 +53,25 @@ class LatinSquare:
     def row(self, i: int) -> np.ndarray:
         return self.entries[i]
 
+    def row_inverse(self) -> "LatinSquare":
+        """The square inv with inv[i, entries[i, j]] = j, row by row.
+
+        Read as a transition table it is the inverse key automaton; read as
+        a Cayley table it is left division. It is Latin by construction, so
+        it is not re-validated. Built on first use and cached.
+        """
+        cached = self.__dict__.get("_row_inverse")
+        if cached is not None:
+            return cached
+        n = self.order
+        inv = np.empty((n, n), dtype=self.entries.dtype)
+        cols = np.arange(n)
+        for i in range(n):
+            inv[i, self.entries[i].astype(np.intp)] = cols
+        cached = LatinSquare(n, inv)
+        object.__setattr__(self, "_row_inverse", cached)
+        return cached
+
 
 def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
     """Certify a table as a Latin square, checking all 2n lines.
@@ -190,31 +209,17 @@ def _jacobson_matthews(square: np.ndarray, steps: int, rng: random.Random) -> np
 class Quasigroup:
     """A quasigroup (A, *) with x*y read from a Latin Cayley table.
 
-    Left and right divisions are O(1) via inverse-permutation tables built
-    once at construction.
+    Left division reads the table's cached row inverse, the same array the
+    inverse key automaton runs on. Right division reads a column-inverse
+    table built on the first right_div call.
     """
 
-    __slots__ = ("order", "cayley", "_row_inv", "_col_inv")
+    __slots__ = ("order", "cayley", "_col_inv")
 
     def __init__(self, cayley: LatinSquare):
         self.order = cayley.order
         self.cayley = cayley
-        n = self.order
-        t = cayley.entries
-        dt = symbol_dtype(n)
-        # _row_inv[a][c] = the unique b with a*b = c
-        row_inv = np.empty((n, n), dtype=dt)
-        cols = np.arange(n)
-        for a in range(n):
-            row_inv[a, t[a].astype(np.intp)] = cols
-        # _col_inv[a][c] = the unique b with b*a = c
-        col_inv = np.empty((n, n), dtype=dt)
-        for a in range(n):
-            col_inv[a, t[:, a].astype(np.intp)] = cols
-        row_inv.setflags(write=False)
-        col_inv.setflags(write=False)
-        self._row_inv = row_inv
-        self._col_inv = col_inv
+        self._col_inv: np.ndarray | None = None
 
     def mul(self, x: int, y: int) -> int:
         """x * y"""
@@ -222,24 +227,20 @@ class Quasigroup:
 
     def left_div(self, a: int, c: int) -> int:
         """a \\ c: the unique b with a*b = c."""
-        return int(self._row_inv[a, c])
+        return int(self.cayley.row_inverse().entries[a, c])
 
     def right_div(self, c: int, a: int) -> int:
         """c / a: the unique b with b*a = c."""
+        if self._col_inv is None:
+            # the transpose of a Latin square is Latin; its row inverse gives
+            # _col_inv[a][c] = the unique b with b*a = c
+            transpose = LatinSquare(self.order, self.cayley.entries.T)
+            self._col_inv = transpose.row_inverse().entries
         return int(self._col_inv[a, c])
 
     def left_inverse(self) -> "Quasigroup":
         """The quasigroup (A, \\) whose table is (a, c) -> a \\ c."""
-        return Quasigroup(validate_latin(self._row_inv))
-
-    # flat views used by the vectorized cipher hot loops
-    @property
-    def mul_flat(self) -> np.ndarray:
-        return self.cayley.entries.reshape(-1)
-
-    @property
-    def left_div_flat(self) -> np.ndarray:
-        return self._row_inv.reshape(-1)
+        return Quasigroup(self.cayley.row_inverse())
 
 
 def fold_mul(q: Quasigroup, ks: Sequence[int], p: int) -> int:

@@ -178,6 +178,18 @@ class TestMessages:
         with pytest.raises(ValueError):
             session(z3).encrypt_message([0, 1, 3])
 
+    def test_one_inverse_table_per_key(self, rng):
+        key = random_automaton(20)
+        s = session(key, engine="qg")
+        s.encrypt_message(rng.integers(0, 20, 50))
+        q = key.quasigroup()
+        assert key.invert().delta.entries is q.cayley.row_inverse().entries
+        assert s.inverse_key.delta.entries is q.cayley.row_inverse().entries
+        assert q.left_inverse().cayley is key.invert().delta
+        assert q._col_inv is None
+        q.right_div(0, 1)
+        assert q._col_inv is not None
+
     def test_bad_engine_name(self, key256):
         with pytest.raises(ValueError):
             CipherSession(key256, SEED, NONCE, 4, engine="nope")

@@ -154,6 +154,15 @@ class TestInspect:
         p.write_bytes(b"not a real file")
         assert main(["inspect", str(p)]) == EXIT_FORMAT
 
+    def test_order_zero_container(self, tmp_path, keyfile, forced_nonce):
+        src, ct = tmp_path / "p", tmp_path / "ct"
+        src.write_bytes(b"abc")
+        main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct)])
+        blob = bytearray(ct.read_bytes())
+        blob[9:13] = bytes(4)  # order field
+        ct.write_bytes(bytes(blob))
+        assert main(["inspect", str(ct)]) == EXIT_FORMAT
+
 
 class TestBench:
     def test_csv_format(self, keyfile, capsys):

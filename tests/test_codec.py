@@ -19,6 +19,7 @@ from lsqcipher.errors import (
     BadMagic,
     LengthMismatch,
     NotLatin,
+    OutOfRange,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -181,3 +182,15 @@ class TestContainer:
     def test_trailing_bytes(self):
         with pytest.raises(LengthMismatch):
             read_container(write_container(container()) + b"\x00")
+
+    @pytest.mark.parametrize("order, stored", [(256, 0), (256, 1), (1000, 70000)])
+    def test_order_out_of_range(self, order, stored):
+        blob = bytearray(write_container(container(order=order)))
+        blob[9:13] = struct.pack(">I", stored)  # order field
+        with pytest.raises(OutOfRange):
+            read_container(bytes(blob))
+
+    def test_symbol_not_below_order(self):
+        blob = write_container(container(order=1000, payload=[0, 65000, 5]))
+        with pytest.raises(OutOfRange):
+            read_container(blob)

@@ -1,4 +1,4 @@
-"""Command-line surface: keygen, encrypt, decrypt, inspect, bench, attack-demo.
+"""Command-line surface: keygen, encrypt, decrypt, inspect, attack-demo.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 import zlib
 
 import numpy as np
@@ -21,7 +19,7 @@ from .classical import UNKNOWN, LeaderCipher, attack_decrypt, known_plaintext_le
 from .codec import CipherContainer, KeyFile, read_container, read_key, write_container, write_key
 from .errors import CodecError, InconsistentPairs, LsqError
 from .keystream import NONCE_BYTES, SEED_BYTES
-from .latin import Quasigroup, generate_latin
+from .latin import MAX_ORDER, Quasigroup, generate_latin
 
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
@@ -61,8 +59,8 @@ def _fresh_nonce() -> bytes:
 
 
 def cmd_keygen(args) -> int:
-    if args.order < 2 or args.order > 65536:
-        return _fail(EXIT_USAGE, "order must be in [2, 65536]")
+    if not 2 <= args.order <= MAX_ORDER:
+        return _fail(EXIT_USAGE, f"order must be in [2, {MAX_ORDER}]")
     table_seed = bytes.fromhex(args.table_seed) if args.table_seed else os.urandom(32)
     ks_seed = bytes.fromhex(args.keystream_seed) if args.keystream_seed else os.urandom(SEED_BYTES)
     if len(ks_seed) != SEED_BYTES:
@@ -128,55 +126,6 @@ def cmd_inspect(args) -> int:
         print(f"plaintext crc (diagnostic): {ct.plaintext_crc:#010x}")
     else:
         raise CodecError("BadMagic: file is neither a key file nor a container")
-    return 0
-
-
-def _bench_once(session_factory, data: bytes) -> float:
-    session = session_factory()
-    start = time.perf_counter()
-    session.encrypt_message(data)
-    return time.perf_counter() - start
-
-
-def cmd_bench(args) -> int:
-    kf = _load_key(args.key)
-    if kf.order != 256:
-        return _fail(EXIT_USAGE, "bench needs an order-256 key")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    m_list = [int(m) for m in args.m_list.split(",")]
-    if any(s <= 0 for s in sizes):
-        return _fail(EXIT_USAGE, "sizes must be positive")
-    if any(not 1 <= m <= 255 for m in m_list):
-        return _fail(EXIT_USAGE, "m values must be in [1, 255]")
-    rows = []
-    rng = np.random.default_rng(0)
-    for size in sizes:
-        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-        for m in m_list:
-            times = [
-                _bench_once(
-                    lambda: CipherSession(kf.key, kf.seed, os.urandom(NONCE_BYTES), m),
-                    data,
-                )
-                for _ in range(args.runs)
-            ]
-            seconds = statistics.median(times)
-            rows.append((m, size, seconds, size / seconds / 1e6))
-    if args.csv:
-        print("m,bytes,seconds,mb_per_s")
-        for m, size, seconds, rate in rows:
-            print(f"{m},{size},{seconds:.6f},{rate:.2f}")
-    else:
-        print(f"{'m':>4} {'bytes':>12} {'seconds':>10} {'MB/s':>10}")
-        for m, size, seconds, rate in rows:
-            print(f"{m:>4} {size:>12} {seconds:>10.4f} {rate:>10.2f}")
-    # throughput should fall as m grows; flag any inversion per size
-    for size in sizes:
-        per_size = [(m, rate) for m, s, _, rate in rows if s == size]
-        for (m1, r1), (m2, r2) in zip(per_size, per_size[1:]):
-            if m2 > m1 and r2 > r1:
-                print(f"note: throughput inversion at size {size}: "
-                      f"m={m2} faster than m={m1}", file=sys.stderr)
     return 0
 
 
@@ -258,14 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="describe a key file or container")
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("bench", help="throughput for a list of block lengths")
-    p.add_argument("--key", required=True)
-    p.add_argument("--sizes", default=str(1 << 22), help="comma-separated byte sizes")
-    p.add_argument("--m-list", default="1,4,16")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("attack-demo", help="known-plaintext attack on the leader cipher")
     p.add_argument("-n", "--order", type=int, default=16)

@@ -24,7 +24,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .latin import MAX_ORDER, LatinSquare, is_latin, symbol_dtype
+from .latin import MAX_ORDER, LatinSquare, is_latin, symbol_dtype, symbol_wire_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
@@ -54,15 +54,11 @@ class CipherContainer:
 
 
 def _symbol_bytes(symbols: np.ndarray, order: int) -> bytes:
-    if order <= 256:
-        return symbols.astype(np.uint8).tobytes()
-    return symbols.astype(">u2").tobytes()
+    return symbols.astype(symbol_wire_dtype(order)).tobytes()
 
 
 def _symbols_from(data: bytes, order: int) -> np.ndarray:
-    if order <= 256:
-        return np.frombuffer(data, dtype=np.uint8).copy()
-    return np.frombuffer(data, dtype=">u2").astype(np.uint16)
+    return np.frombuffer(data, dtype=symbol_wire_dtype(order)).astype(symbol_dtype(order))
 
 
 def write_key(kf: KeyFile) -> bytes:

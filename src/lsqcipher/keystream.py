@@ -1,9 +1,14 @@
 """Deterministic keystream: uniform symbols over [0, n) from a ChaCha20 byte source.
 
 The long-term 32-byte seed keys ChaCha20; a 12-byte per-message nonce gives
-each message its own stream. Non-power-of-two orders use rejection sampling
-on the generator words, so no symbol carries modulo bias; power-of-two
-orders mask, and order 256 passes raw bytes through.
+each message its own stream. Every symbol comes from one generator word in
+the symbol wire format. Non-power-of-two orders use rejection sampling on
+the words, so no symbol carries modulo bias; power-of-two orders mask, and
+order 256 passes raw bytes through.
+
+Reads are exact: a reader draws from ChaCha20 only the words behind the
+symbols it returns, and counts those bytes against a per-nonce cap of
+BYTE_CAP ChaCha20 bytes.
 """
 
 from __future__ import annotations
@@ -14,15 +19,15 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .errors import InvalidSpec, StreamExhausted
-from .latin import MAX_ORDER, symbol_dtype
+from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
 
 SEED_BYTES = 32
 NONCE_BYTES = 12
 
-# 2^38 symbols per (seed, nonce); stays inside ChaCha20's 32-bit block counter.
-SYMBOL_CAP = 1 << 38
-
-_CHUNK = 1 << 16
+# ChaCha20's 32-bit block counter covers 2^32 blocks of 64 bytes (RFC 8439
+# 2.3); past that the counter carries into the nonce, and the stream would
+# overlap a neighbouring nonce's.
+BYTE_CAP = 1 << 38
 
 
 @dataclass(frozen=True)
@@ -57,56 +62,56 @@ class KeystreamReader:
     """Sequential reader over the symbol stream of one KeystreamSpec.
 
     Reading k then k' symbols yields the same symbols as one read of k + k';
-    blocking is purely a view on the flat stream.
+    blocking is purely a view on the flat stream. The reader keeps no
+    buffer: `bytes_read` counts the ChaCha20 bytes drawn so far, which end
+    just past the word of the last symbol returned. A read that would take
+    it past BYTE_CAP raises StreamExhausted.
     """
 
     def __init__(self, spec: KeystreamSpec):
         self.spec = spec
-        self.position = 0
+        self.bytes_read = 0
         # cryptography's ChaCha20 nonce is 16 bytes: 4-byte counter || nonce
         chacha = algorithms.ChaCha20(spec.seed, b"\x00" * 4 + spec.nonce)
         self._enc = Cipher(chacha, mode=None).encryptor()
         n = spec.order
         self._dtype = symbol_dtype(n)
-        self._width = self._dtype.itemsize
+        self._wire = symbol_wire_dtype(n)
         self._pow2 = n & (n - 1) == 0
-        space = 1 << (8 * self._width)
+        space = 1 << (8 * self._dtype.itemsize)
         self._limit = space - space % n
-        self._buf = np.empty(0, dtype=self._dtype)
 
-    def _raw_words(self, nbytes: int) -> np.ndarray:
+    def _raw_words(self, count: int) -> np.ndarray:
+        nbytes = count * self._wire.itemsize
+        if self.bytes_read + nbytes > BYTE_CAP:
+            raise StreamExhausted(f"per-nonce cap of {BYTE_CAP} ChaCha20 bytes reached")
+        self.bytes_read += nbytes
         block = self._enc.update(b"\x00" * nbytes)
-        if self._width == 1:
-            return np.frombuffer(block, dtype=np.uint8)
-        return np.frombuffer(block, dtype=">u2").astype(np.uint16)
+        return np.frombuffer(block, dtype=self._wire).astype(self._dtype)
 
-    def _refill(self, want: int):
+    def _symbols(self, words: int) -> np.ndarray:
+        """Symbols from the next `words` words: one per accepted word."""
+        raw = self._raw_words(words)
         n = self.spec.order
-        parts = [self._buf]
-        have = len(self._buf)
-        while have < want:
-            words = self._raw_words(max(_CHUNK, (want - have) * self._width))
-            if self._pow2:
-                accepted = words & (n - 1)  # identity when n fills the word
-            else:
-                kept = words[words < self._limit]
-                accepted = (kept % n).astype(self._dtype)
-            accepted = accepted.astype(self._dtype, copy=False)
-            parts.append(accepted)
-            have += len(accepted)
-        self._buf = np.concatenate(parts)
+        if self._pow2:
+            raw &= n - 1  # identity when n fills the word
+            return raw
+        return raw[raw < self._limit] % n
 
     def take(self, count: int) -> np.ndarray:
-        """The next `count` symbols of the flat stream."""
+        """The next `count` symbols of the flat stream.
+
+        Each pass draws one word per missing symbol, so no word past the
+        last returned symbol is ever drawn.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if self.position + count > SYMBOL_CAP:
-            raise StreamExhausted(f"per-nonce cap of {SYMBOL_CAP} symbols reached")
-        if count > len(self._buf):
-            self._refill(count)
-        out, self._buf = self._buf[:count], self._buf[count:]
-        self.position += count
-        return out
+        parts = [self._symbols(count)]
+        have = len(parts[0])
+        while have < count:
+            parts.append(self._symbols(count - have))
+            have += len(parts[-1])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def next_block(self) -> np.ndarray:
         """The next keystream block r_i of length m."""

@@ -30,6 +30,12 @@ def symbol_dtype(order: int) -> np.dtype:
     return np.dtype(np.uint8) if order <= 256 else np.dtype(np.uint16)
 
 
+def symbol_wire_dtype(order: int) -> np.dtype:
+    """Wire format of symbols in key files, containers and keystream words:
+    the storage width, big-endian."""
+    return symbol_dtype(order).newbyteorder(">")
+
+
 @dataclass(frozen=True)
 class LatinSquare:
     """An n x n table in which every row and every column is a permutation.

@@ -164,22 +164,6 @@ class TestInspect:
         assert main(["inspect", str(ct)]) == EXIT_FORMAT
 
 
-class TestBench:
-    def test_csv_format(self, keyfile, capsys):
-        assert main(["bench", "--key", str(keyfile), "--sizes", "65536",
-                     "--m-list", "1,4", "--runs", "3", "--csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "m,bytes,seconds,mb_per_s"
-        assert len(lines) == 3
-        m, size, seconds, rate = lines[1].split(",")
-        assert (m, size) == ("1", "65536")
-        assert float(seconds) > 0
-        assert float(rate) > 0
-
-    def test_zero_size_rejected(self, keyfile):
-        assert main(["bench", "--key", str(keyfile), "--sizes", "0"]) == EXIT_USAGE
-
-
 class TestAttackDemo:
     def test_default_report(self, capsys):
         assert main(["attack-demo", "-n", "16", "--messages", "50",

@@ -1,8 +1,11 @@
+import functools
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsqcipher.codec import (
     CONTAINER_MAGIC,
@@ -17,6 +20,7 @@ from lsqcipher.codec import (
 from lsqcipher.errors import (
     BadChecksum,
     BadMagic,
+    CodecError,
     LengthMismatch,
     NotLatin,
     OutOfRange,
@@ -194,3 +198,35 @@ class TestContainer:
         blob = write_container(container(order=1000, payload=[0, 65000, 5]))
         with pytest.raises(OutOfRange):
             read_container(blob)
+
+
+@functools.cache
+def _valid_blob(kind, order):
+    if kind == "key":
+        return write_key(KeyFile(key=random_automaton(order), seed=SEED))
+    return write_container(container(order=order, payload=np.arange(40) % order))
+
+
+@given(kind=st.sampled_from(["key", "container"]), order=st.sampled_from([5, 300]),
+       fix_crc=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_input_parses_or_raises_codec_error(kind, order, fix_crc, data):
+    """Any mutation of a valid key file or container either parses or raises
+    CodecError; no other exception escapes the parsers."""
+    blob = bytearray(_valid_blob(kind, order))
+    header = 64  # magic and header fields, where most format checks live
+    edits = data.draw(st.lists(
+        st.tuples(st.one_of(st.integers(0, header - 1), st.integers(0, len(blob) - 1)),
+                  st.integers(0, 255)),
+        max_size=6))
+    for pos, value in edits:
+        blob[pos] = value
+    length = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob) + 8)))
+    blob = blob[:length] + bytes(max(0, length - len(blob)))
+    if fix_crc and kind == "key" and len(blob) >= 4:
+        blob[-4:] = struct.pack(">I", zlib.crc32(blob[:-4]))
+    parse = read_key if kind == "key" else read_container
+    try:
+        parse(bytes(blob))
+    except CodecError:
+        pass

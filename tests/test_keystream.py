@@ -4,7 +4,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from lsqcipher.errors import InvalidSpec, StreamExhausted
 from lsqcipher.keystream import (
-    SYMBOL_CAP,
+    BYTE_CAP,
     KeystreamSpec,
     open_stream,
 )
@@ -111,10 +111,27 @@ class TestSymbolExtraction:
         assert np.all(np.abs(freq - count * p) < 5 * sigma)
 
 
+class TestExactReads:
+    @pytest.mark.parametrize("order, width", [(200, 1), (256, 1), (300, 2)])
+    def test_bytes_read_ends_at_last_accepted_word(self, order, width):
+        # independent scalar rejection rule over the raw ChaCha20 words
+        chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
+        raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 4096)
+        space = 1 << (8 * width)
+        limit = space - space % order
+        words = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+        accepted = [i for i, w in enumerate(words) if w < limit]
+        reader = open_stream(spec(order=order))
+        reader.take(100)
+        assert reader.bytes_read == (accepted[99] + 1) * width
+
+
 class TestCap:
-    def test_symbol_cap_enforced(self):
-        reader = open_stream(spec())
-        reader.position = SYMBOL_CAP - 1
+    @pytest.mark.parametrize("order, width", [(256, 1), (512, 2)])
+    def test_byte_cap_enforced(self, order, width):
+        reader = open_stream(spec(order=order))
+        reader.bytes_read = BYTE_CAP - width
         reader.take(1)
         with pytest.raises(StreamExhausted):
             reader.take(1)
+        assert reader.bytes_read == BYTE_CAP

@@ -240,6 +240,39 @@ def test_golden_ciphertext(n, m, engine):
     assert digest.hexdigest() == GOLDEN_SHA256[(n, m)]
 
 
+# As GOLDEN_SHA256, for messages of 2 * 65536 + 3 symbols: long enough to
+# cross every boundary of a kernel that works in chunks of up to 64Ki symbols.
+LONG_LEN = 2 * 65536 + 3
+LONG_SHA256 = {
+    (5, 1): "7ecdfd7cf558833e349a0e0d3e24684762b812b00ee2fa64dc538ecb9d8597e0",
+    (5, 3): "68449cbc2c9032860949d02575fb6c878389b355e87ff440090863c70499d0b5",
+    (256, 1): "46123b19910d630bba7be5a10ba29bd4d35cd373bfd71aa76f0a719faadb7ebe",
+    (256, 3): "90c71b54286c41f5904a1ecf4f50570278f9d330a9d0b60be925488612ab52c3",
+    (300, 1): "4d39b0c3cb2efdb3b9dc4c67704b116f5187bc507971da7e566bd08219dd2350",
+    (300, 3): "3921d23a348894c9873ddae69e8fa0211d53f56a412cd6a2bcc312ac48deb7c8",
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(LONG_SHA256))
+@pytest.mark.parametrize("engine", ["fa", "qg"])
+def test_golden_ciphertext_across_chunks(n, m, engine):
+    key = random_automaton(n, seed=b"golden-vector-key")
+    q = key.quasigroup()
+    msg = np.random.default_rng(2022).integers(0, n, LONG_LEN)
+    ct = CipherSession(key, SEED, NONCE, m, engine=engine).encrypt_message(msg)
+    assert ct.dtype == symbol_dtype(n)
+    digest = hashlib.sha256(ct.astype(">u2" if n > 256 else np.uint8).tobytes())
+    assert digest.hexdigest() == LONG_SHA256[(n, m)]
+    for i in (65535, 65536, LONG_LEN - 1):
+        stream = KeystreamReader(KeystreamSpec(seed=SEED, nonce=NONCE, m=m, order=n))
+        stream.take(i * m)
+        block = stream.next_block()
+        p = int(msg[i])
+        assert ct[i] == key.last_state(p, block) == fold_mul(q, block, p)
+    pt = CipherSession(key, SEED, NONCE, m, engine=engine).decrypt_message(ct)
+    assert np.array_equal(pt, msg)
+
+
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),
        nonce=st.binary(min_size=12, max_size=12),
        engine=st.sampled_from(["fa", "qg"]))

@@ -5,6 +5,9 @@ block r_i from state p_i on the key automaton; read as a quasigroup, the
 same lookups fold the block through the product. Decryption runs the
 mirrored block on the key's row inverse, which is also left division.
 Messages go through one vectorised kernel, `_chain`, whatever the engine.
+Since c_i depends only on p_i and r_i, the kernel runs in fixed chunks of
+message symbols with narrow table indices, so its working memory does not
+grow with the message length.
 The engine names the reading the per-symbol methods use: "fa"
 (`last_state`) or "qg" (`fold_mul` / `fold_left_div`). Both give identical
 ciphertexts.
@@ -20,6 +23,9 @@ from .keystream import KeystreamReader, KeystreamSpec
 from .latin import fold_left_div, fold_mul
 
 ENGINES = ("fa", "qg")
+
+# Message symbols per pass of the kernel: bounds its working memory.
+_CHUNK = 1 << 16
 
 
 class CipherSession:
@@ -82,32 +88,57 @@ class CipherSession:
             raise NonceReuse("session already processed a message; use a fresh nonce")
         self._used = True
         symbols = _as_symbols(seq, self.key.order)
-        ks = self.stream.take(len(symbols) * self.m).reshape(len(symbols), self.m)
-        return _chain(table, symbols, ks, reverse)
+        return _chain(table, symbols, self.stream, self.m, reverse)
 
 
 def _as_symbols(seq, order: int) -> np.ndarray:
+    """The message as an array, without copying an array or a byte string."""
     if isinstance(seq, np.ndarray):
         arr = seq
     elif isinstance(seq, (bytes, bytearray)):
-        arr = np.frombuffer(bytes(seq), dtype=np.uint8)
+        arr = np.frombuffer(seq, dtype=np.uint8)
     else:
         arr = np.asarray(list(seq), dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= order):
         raise ValueError(f"symbols out of range for order {order}")
-    return arr.astype(np.intp, copy=False)
+    return arr
 
 
-def _chain(table: np.ndarray, start: np.ndarray, ks: np.ndarray,
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest type that holds every flat table index k * n + s."""
+    if n <= 256:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32) if n < 1 << 16 else np.dtype(np.intp)
+
+
+def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
            reverse: bool) -> np.ndarray:
     """Run each keystream block from the matching start state, vectorized
     across message positions: state = table[k, state] for each block symbol
-    k. `reverse` feeds blocks mirrored (decryption)."""
+    k. `reverse` feeds blocks mirrored (decryption).
+
+    Symbol i depends only on start[i] and block i, so the message goes
+    through in chunks of _CHUNK symbols, each reading its c * m keystream
+    symbols in one `take` and laying them out as (m, c). Each round builds
+    its flat indices k * n + state in one reused buffer of the narrowest
+    type that holds them and gathers into the output slice, so working
+    memory is bounded by the chunk, not by the message length.
+    """
     n = table.shape[0]
     flat = table.reshape(-1)
-    m = ks.shape[1]
-    state = start
-    cols = range(m - 1, -1, -1) if reverse else range(m)
-    for j in cols:
-        state = flat[ks[:, j].astype(np.intp) * n + state].astype(np.intp)
-    return state.astype(table.dtype, copy=False)
+    idx_dtype = _index_dtype(n)
+    width = idx_dtype.type(n)
+    out = np.empty(len(start), dtype=table.dtype)
+    index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
+    rounds = range(m - 1, -1, -1) if reverse else range(m)
+    for lo in range(0, len(start), _CHUNK):
+        state = out[lo:lo + _CHUNK]
+        c = len(state)
+        state[:] = start[lo:lo + c]
+        blocks = np.ascontiguousarray(stream.take(c * m).reshape(c, m).T)
+        index = index_buf[:c]
+        for j in rounds:
+            np.multiply(blocks[j], width, out=index, casting="unsafe")
+            index += state
+            np.take(flat, index, out=state)
+    return out

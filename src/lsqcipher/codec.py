@@ -46,6 +46,12 @@ class KeyFile:
 
 @dataclass(frozen=True)
 class CipherContainer:
+    """A parsed or to-be-written ciphertext container.
+
+    At order <= 256 the payload `read_container` returns is a read-only
+    view of the container bytes, not a copy.
+    """
+
     order: int
     m: int
     nonce: bytes
@@ -54,11 +60,12 @@ class CipherContainer:
 
 
 def _symbol_bytes(symbols: np.ndarray, order: int) -> bytes:
-    return symbols.astype(symbol_wire_dtype(order)).tobytes()
+    return symbols.astype(symbol_wire_dtype(order), copy=False).tobytes()
 
 
 def _symbols_from(data: bytes, order: int) -> np.ndarray:
-    return np.frombuffer(data, dtype=symbol_wire_dtype(order)).astype(symbol_dtype(order))
+    wire = np.frombuffer(data, dtype=symbol_wire_dtype(order))
+    return wire.astype(symbol_dtype(order), copy=False)
 
 
 def write_key(kf: KeyFile) -> bytes:
@@ -146,7 +153,7 @@ def read_container(data: bytes) -> CipherContainer:
         raise TruncatedFile(f"container needs {total} bytes, got {len(data)}")
     if len(data) > total:
         raise LengthMismatch(f"container has {len(data) - total} trailing bytes")
-    payload = _symbols_from(data[pos:total - 4], order)
+    payload = _symbols_from(memoryview(data)[pos:total - 4], order)
     if payload.size and payload.max() >= order:
         raise OutOfRange(f"payload symbol {payload.max()} >= order {order}")
     (crc,) = struct.unpack(">I", data[total - 4:total])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ def test_golden_ciphertext_across_chunks(n, m, engine):
         assert ct[i] == key.last_state(p, block) == fold_mul(q, block, p)
     pt = CipherSession(key, SEED, NONCE, m, engine=engine).decrypt_message(ct)
     assert np.array_equal(pt, msg)
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+def test_working_memory_independent_of_length(n):
+    # tracemalloc sees numpy buffers; the peak minus the output is the
+    # kernel's working memory, which must not scale with the message.
+    key = random_automaton(n)
+    rng = np.random.default_rng(7)
+    extra = []
+    for length in (1 << 20, 4 << 20):
+        msg = rng.integers(0, n, length).astype(symbol_dtype(n))
+        s = CipherSession(key, SEED, NONCE, 16)
+        tracemalloc.start()
+        try:
+            ct = s.encrypt_message(msg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - ct.nbytes)
+    assert abs(extra[1] - extra[0]) < 1 << 20
+    assert max(extra) < 16 << 20
 
 
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),

@@ -60,6 +60,12 @@ class TestKeygen:
         assert main(["keygen", "-n", "8", "--walk-steps", "25", "--out", str(out)]) == 0
         read_key(out.read_bytes())
 
+    def test_negative_walk_steps_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w.key"
+        assert main(["keygen", "-n", "4", "--walk-steps", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "walk steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncryptDecrypt:
     def roundtrip(self, tmp_path, keyfile, data, extra=()):

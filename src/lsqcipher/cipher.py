@@ -127,7 +127,7 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     n = table.shape[0]
     flat = table.reshape(-1)
     idx_dtype = _index_dtype(n)
-    width = idx_dtype.type(n)
+    width = idx_dtype.type(n)  # typed: a Python int 256 does not fit uint8 symbols
     out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)

@@ -105,10 +105,12 @@ def _as_symbols(seq, order: int) -> np.ndarray:
 
 
 def _index_dtype(n: int) -> np.dtype:
-    """The narrowest type that holds every flat table index k * n + s."""
-    if n <= 256:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32) if n < 1 << 16 else np.dtype(np.intp)
+    """The narrowest type that holds every flat table index k * n + s.
+
+    Orders stop at MAX_ORDER = 65536, whose largest index n * n - 1 still
+    fits uint32.
+    """
+    return np.dtype(np.uint16) if n <= 256 else np.dtype(np.uint32)
 
 
 def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
@@ -127,7 +129,7 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     n = table.shape[0]
     flat = table.reshape(-1)
     idx_dtype = _index_dtype(n)
-    width = idx_dtype.type(n)  # typed: a Python int 256 does not fit uint8 symbols
+    width = idx_dtype.type(n)
     out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
@@ -138,7 +140,10 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
         blocks = np.ascontiguousarray(stream.take(c * m).reshape(c, m).T)
         index = index_buf[:c]
         for j in rounds:
-            np.multiply(blocks[j], width, out=index, casting="unsafe")
+            # The loop type is pinned: NumPy 1.x would pick it from the
+            # value of `width` (uint8 at n = 200) and wrap k * n.
+            np.multiply(blocks[j], width, out=index, dtype=idx_dtype,
+                        casting="unsafe")
             index += state
             np.take(flat, index, out=state)
     return out

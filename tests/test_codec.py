@@ -89,6 +89,16 @@ class TestKeyCorruption:
         with pytest.raises(NotLatin):
             read_key(bytes(blob))
 
+    def test_order_300_swapped_cells_not_latin(self):
+        blob = bytearray(write_key(KeyFile(key=random_automaton(300), seed=SEED)))
+        # swap the 2-byte symbols at (row 3, column 10) and (row 3, column 200):
+        # every row stays a permutation, columns 10 and 200 repeat a symbol
+        a, b = 44 + 2 * (3 * 300 + 10), 44 + 2 * (3 * 300 + 200)
+        blob[a:a + 2], blob[b:b + 2] = blob[b:b + 2], blob[a:a + 2]
+        blob[-4:] = struct.pack(">I", zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(NotLatin):
+            read_key(bytes(blob))
+
     def test_truncated(self):
         blob = write_key(z3_keyfile())
         for cut in (0, 4, 10, len(blob) - 1):

@@ -98,9 +98,10 @@ def _as_symbols(seq, order: int) -> np.ndarray:
     elif isinstance(seq, (bytes, bytearray)):
         arr = np.frombuffer(seq, dtype=np.uint8)
     else:
-        arr = np.asarray(list(seq), dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= order):
-        raise ValueError(f"symbols out of range for order {order}")
+        arr = np.asarray(list(seq))
+    if arr.size and not (np.issubdtype(arr.dtype, np.integer)
+                         and arr.min() >= 0 and arr.max() < order):
+        raise ValueError(f"symbols must be integers in [0, {order})")
     return arr
 
 

@@ -14,17 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import latin
 from .automaton import KeyAutomaton
 from .errors import (
     BadChecksum,
     BadMagic,
+    ColViolation,
+    DimensionMismatch,
     LengthMismatch,
     NotLatin,
+    OrderTooSmall,
     OutOfRange,
+    RowViolation,
     TruncatedFile,
     UnsupportedVersion,
 )
-from .latin import MAX_ORDER, LatinSquare, is_latin, symbol_dtype, symbol_wire_dtype
+from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
@@ -87,7 +92,7 @@ def read_key(data: bytes) -> KeyFile:
     if len(data) < header_len:
         raise TruncatedFile("key file truncated in header")
     (order,) = struct.unpack(">I", data[len(KEY_MAGIC):header_len])
-    width = symbol_dtype(order).itemsize if order else 1
+    width = symbol_dtype(order).itemsize
     total = header_len + SEED_BYTES + order * order * width + 4
     if len(data) < total:
         raise TruncatedFile(f"key file needs {total} bytes, got {len(data)}")
@@ -98,10 +103,12 @@ def read_key(data: bytes) -> KeyFile:
         raise BadChecksum("key file checksum mismatch")
     seed = data[header_len:header_len + SEED_BYTES]
     table_bytes = data[header_len + SEED_BYTES:total - 4]
-    table = _symbols_from(table_bytes, order).reshape(order, order)
-    if not is_latin(table):
-        raise NotLatin("key table is not a Latin square")
-    square = LatinSquare(order, table.astype(symbol_dtype(order)))
+    table = np.frombuffer(table_bytes, dtype=symbol_wire_dtype(order))
+    try:
+        # looked up on the module, so a wrapper patched onto it sees key loads
+        square = latin.validate_latin(table.reshape(order, order))
+    except (RowViolation, ColViolation, DimensionMismatch, OrderTooSmall) as exc:
+        raise NotLatin(f"key table is not a Latin square: {exc}") from None
     return KeyFile(key=KeyAutomaton(order, square), seed=seed)
 
 

@@ -41,8 +41,8 @@ class LatinSquare:
     """An n x n table in which every row and every column is a permutation.
 
     Instances are only produced by :func:`validate_latin` or
-    :func:`generate_latin`, so holding a LatinSquare is a certificate.
-    The entries array is read-only.
+    :func:`generate_latin`, so holding a LatinSquare is a certificate. The
+    square owns its read-only entries, so they cannot change after the check.
     """
 
     order: int
@@ -71,9 +71,7 @@ class LatinSquare:
             return cached
         n = self.order
         inv = np.empty((n, n), dtype=self.entries.dtype)
-        cols = np.arange(n)
-        for i in range(n):
-            inv[i, self.entries[i].astype(np.intp)] = cols
+        inv[np.arange(n)[:, None], self.entries] = np.arange(n)
         cached = LatinSquare(n, inv)
         object.__setattr__(self, "_row_inverse", cached)
         return cached
@@ -82,10 +80,15 @@ class LatinSquare:
 def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
     """Certify a table as a Latin square, checking all 2n lines.
 
-    Raises DimensionMismatch for non-square input, OrderTooSmall for n < 2,
-    and RowViolation/ColViolation naming the first duplicated symbol.
+    Raises DimensionMismatch for ragged, non-square or out-of-range input,
+    OrderTooSmall for n < 2, and RowViolation/ColViolation naming the first
+    bad line (rows before columns, lowest index first) and the first symbol
+    it repeats in scan order. The square owns a copy of the table.
     """
-    arr = np.asarray(table)
+    try:
+        arr = np.asarray(table)
+    except ValueError as exc:  # rows of unequal length
+        raise DimensionMismatch(f"expected a square table: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square table, got shape {arr.shape}")
     n = arr.shape[0]
@@ -97,32 +100,20 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
         raise DimensionMismatch("entries must be integers")
     if arr.min() < 0 or arr.max() >= n:
         raise DimensionMismatch(f"entries must lie in [0, {n})")
-    for i in range(n):
-        dup = _first_duplicate(arr[i, :])
-        if dup is not None:
-            raise RowViolation(i, dup)
-    for j in range(n):
-        dup = _first_duplicate(arr[:, j])
-        if dup is not None:
-            raise ColViolation(j, dup)
-    return LatinSquare(n, np.ascontiguousarray(arr, dtype=symbol_dtype(n)))
-
-
-def _first_duplicate(line: np.ndarray) -> int | None:
-    seen = np.zeros(len(line), dtype=bool)
-    for v in line:
-        if seen[v]:
-            return int(v)
-        seen[v] = True
-    return None
-
-
-def is_latin(table) -> bool:
-    try:
-        validate_latin(table)
-        return True
-    except (RowViolation, ColViolation, DimensionMismatch, OrderTooSmall):
-        return False
+    entries = arr.astype(symbol_dtype(n), order="C")
+    for lines, violation in ((entries, RowViolation), (entries.T, ColViolation)):
+        # n symbols in [0, n) fill a line's n slots only if none repeats
+        seen = np.zeros((n, n), dtype=bool)
+        seen[np.arange(n)[:, None], lines] = True
+        complete = seen.all(axis=1)
+        if not complete.all():
+            i = int(np.argmin(complete))
+            # the first repeat in scan order sits at the lowest position that
+            # does not hold its symbol's first occurrence
+            first = np.unique(lines[i], return_index=True)[1]
+            j = np.setdiff1d(np.arange(n), first)[0]
+            raise violation(i, int(lines[i][j]))
+    return LatinSquare(n, entries)
 
 
 def _seeded_rng(order: int, seed: bytes, tag: bytes) -> random.Random:

@@ -179,6 +179,14 @@ class TestMessages:
         with pytest.raises(ValueError):
             session(z3).encrypt_message([0, 1, 3])
 
+    @pytest.mark.parametrize("message", [np.array([1.5, 2.9]), [1.5, 2.9]])
+    def test_non_integer_symbols_rejected(self, key256, message):
+        # a cast would truncate them to [1, 2] and encrypt that instead
+        with pytest.raises(ValueError, match="integers"):
+            session(key256).encrypt_message(message)
+        with pytest.raises(ValueError, match="integers"):
+            session(key256).decrypt_message(message)
+
     def test_one_inverse_table_per_key(self, rng):
         key = random_automaton(20)
         s = session(key, engine="qg")

@@ -96,7 +96,7 @@ class TestKeyCorruption:
         a, b = 44 + 2 * (3 * 300 + 10), 44 + 2 * (3 * 300 + 200)
         blob[a:a + 2], blob[b:b + 2] = blob[b:b + 2], blob[a:a + 2]
         blob[-4:] = struct.pack(">I", zlib.crc32(bytes(blob[:-4])))
-        with pytest.raises(NotLatin):
+        with pytest.raises(NotLatin, match="column 10 repeats"):
             read_key(bytes(blob))
 
     def test_truncated(self):

@@ -82,6 +82,23 @@ class TestValidate:
         with pytest.raises(OrderTooSmall):
             validate_latin([[0]])
 
+    def test_ragged_rows(self):
+        with pytest.raises(DimensionMismatch):
+            validate_latin([[0, 1], [1]])
+
+    def test_square_does_not_alias_input(self):
+        base = np.array(cyclic_table(3), dtype=np.uint8)
+        sq = validate_latin(base[:, :])
+        base[0, 0] = 1
+        assert sq.entries.tolist() == cyclic_table(3)
+        assert sq.row_inverse().entries.tolist() == [
+            [(c - a) % 3 for c in range(3)] for a in range(3)]
+
+    def test_input_stays_writable(self):
+        arr = np.array(cyclic_table(3), dtype=np.uint8)
+        validate_latin(arr)
+        assert arr.flags.writeable
+
 
 class TestViolationNaming:
     """Which line and symbol a violation names, on tables past the 2x2 case."""

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import zlib
 
@@ -187,3 +188,37 @@ class TestAttackDemo:
         assert main(["attack-demo", "-n", "8", "--messages", "4",
                      "--length", "32", "--contrast"]) == 0
         assert "InconsistentPairs" in capsys.readouterr().out
+
+
+# SHA-256 of the container the CLI writes for a fixed key, forced nonce and
+# plaintext, keyed by (plaintext bytes, m). The sizes sit on and around
+# 1 MiB boundaries, so they cross the CLI's I/O chunks.
+MIB = 1 << 20
+PINNED_CONTAINERS = {
+    (0, 1): "76bd06357b92c4aada390c22a4d8ff24cc243a9b49ecc6ee054bdf676daa0720",
+    (0, 16): "2b103122f0fb6f6197b20b1600381f416c43abaeae394197664ff92ebdd595c6",
+    (1, 1): "a65fdd79db84e051fc7bf406308d8a626ed61936c896f5058d1b325e90f7db6d",
+    (1, 16): "139e0f02d0f07fa42163a9baa5fafd9d1a4f9037d337dbaea38411176319e823",
+    (MIB - 1, 1): "8cb1b6d72040e5bd01f1fe3e6554a00f8c61945ccb4ca15b46c4699e1375586c",
+    (MIB - 1, 16): "82403bb75b6ec72dd1e6439ece775b6e3b9fa65b624ff8c6041d7d1c8f4bfc98",
+    (MIB, 1): "e55312cdf443b25485b9ae911a21b2c6ad5d059ebf7d1e2303d37648a0317a83",
+    (MIB, 16): "cced5d12e432732ee06f0bfc44d25fe71247fe3f2a028c8cbf178e230b1b1434",
+    (MIB + 1, 1): "0ec0db53e8a1bb3d7b061c9cfe78a18d0af1147bf9fa8134b61498d12f5b74c9",
+    (MIB + 1, 16): "fc9ed8341363e4748725a383047731ee4218a6e9e1b90ff08b1be37e9322535b",
+    (3 * MIB + 5, 1): "35345b0ec13b65de5b3377be2de7102c5f3b2ea3cecb2dbcbf206380ffd06f67",
+    (3 * MIB + 5, 16): "d69658daca7c3a023ed1f0de685f42cbf280bb1042d224196741b27399a20500",
+}
+
+
+@pytest.mark.parametrize("size, m", sorted(PINNED_CONTAINERS))
+def test_pinned_container_digest(tmp_path, keyfile, forced_nonce, size, m):
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    src, ct, out = tmp_path / "plain", tmp_path / "ct", tmp_path / "out"
+    src.write_bytes(data)
+    assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
+                 "-m", str(m)]) == 0
+    blob = ct.read_bytes()
+    assert len(blob) == 34 + size + 4  # header, one byte per symbol, CRC
+    assert hashlib.sha256(blob).hexdigest() == PINNED_CONTAINERS[(size, m)]
+    assert main(["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(out)]) == 0
+    assert out.read_bytes() == data

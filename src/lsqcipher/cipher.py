@@ -7,7 +7,10 @@ mirrored block on the key's row inverse, which is also left division.
 Messages go through one vectorised kernel, `_chain`, whatever the engine.
 Since c_i depends only on p_i and r_i, the kernel runs in fixed chunks of
 message symbols with narrow table indices, so its working memory does not
-grow with the message length.
+grow with the message length. For the same reason a message may arrive in
+parts: `encrypt_message(part, final=False)` keeps the session open, and
+symbol i consumes block i however the message is split, so the parts
+concatenate to the ciphertext of one call.
 The engine names the reading the per-symbol methods use: "fa"
 (`last_state`) or "qg" (`fold_mul` / `fold_left_div`). Both give identical
 ciphertexts.
@@ -32,8 +35,9 @@ class CipherSession:
     """Single-message cipher state: key views plus one keystream reader.
 
     A session is sequential: its stream position advances with every symbol.
-    Message-level calls claim the whole session; starting a second message
-    on the same (seed, nonce) raises NonceReuse.
+    Message-level calls claim the whole session for one message in one
+    direction; starting a second message on the same (seed, nonce), or
+    switching direction mid-message, raises NonceReuse.
     """
 
     def __init__(self, key: KeyAutomaton, seed: bytes, nonce: bytes, m: int,
@@ -47,7 +51,8 @@ class CipherSession:
         self.m = m
         self.spec = KeystreamSpec(seed=seed, nonce=nonce, m=m, order=key.order)
         self.stream = KeystreamReader(self.spec)
-        self._used = False
+        self._open = None   # direction of a message still taking parts
+        self._done = False  # a final part has been processed
 
     # --- per-symbol kernels (advance the stream by one block each) ---
 
@@ -75,19 +80,29 @@ class CipherSession:
 
     # --- message level ---
 
-    def encrypt_message(self, plaintext) -> np.ndarray:
-        """Encrypt a whole symbol sequence; symbol i consumes stream block i."""
-        return self._message(plaintext, self.key.delta.entries, reverse=False)
+    def encrypt_message(self, plaintext, final: bool = True) -> np.ndarray:
+        """Encrypt a symbol sequence; symbol i consumes stream block i.
 
-    def decrypt_message(self, ciphertext) -> np.ndarray:
-        """Invert encrypt_message: the mirrored blocks on the row inverse."""
-        return self._message(ciphertext, self.inverse_key.delta.entries, reverse=True)
+        With `final=False` the sequence is one part of a longer message: the
+        session stays open for the next encrypt part, and the parts' outputs
+        concatenate to what one call on the whole message returns. The part
+        with `final=True` ends the message; any later call raises NonceReuse,
+        as does a decrypt call while an encrypt message is open.
+        """
+        return self._message(plaintext, self.key.delta.entries, False, final)
 
-    def _message(self, seq, table: np.ndarray, reverse: bool) -> np.ndarray:
-        if self._used:
+    def decrypt_message(self, ciphertext, final: bool = True) -> np.ndarray:
+        """Invert encrypt_message: the mirrored blocks on the row inverse.
+
+        `final` splits a message into parts as for encrypt_message.
+        """
+        return self._message(ciphertext, self.inverse_key.delta.entries, True, final)
+
+    def _message(self, seq, table: np.ndarray, reverse: bool, final: bool) -> np.ndarray:
+        if self._done or self._open not in (None, reverse):
             raise NonceReuse("session already processed a message; use a fresh nonce")
-        self._used = True
         symbols = _as_symbols(seq, self.key.order)
+        self._open, self._done = reverse, final
         return _chain(table, symbols, self.stream, self.m, reverse)
 
 
@@ -122,10 +137,11 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
 
     Symbol i depends only on start[i] and block i, so the message goes
     through in chunks of _CHUNK symbols, each reading its c * m keystream
-    symbols in one `take` and laying them out as (m, c). Each round builds
-    its flat indices k * n + state in one reused buffer of the narrowest
-    type that holds them and gathers into the output slice, so working
-    memory is bounded by the chunk, not by the message length.
+    symbols in one `take` and copying them as (m, c) into one block buffer
+    reused for the whole call. Each round builds its flat indices
+    k * n + state in one reused buffer of the narrowest type that holds
+    them and gathers into the output slice, so working memory is bounded by
+    the chunk, not by the message length.
     """
     n = table.shape[0]
     flat = table.reshape(-1)
@@ -133,12 +149,14 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     width = idx_dtype.type(n)
     out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
+    block_buf = np.empty((m, len(index_buf)), dtype=table.dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
     for lo in range(0, len(start), _CHUNK):
         state = out[lo:lo + _CHUNK]
         c = len(state)
         state[:] = start[lo:lo + c]
-        blocks = np.ascontiguousarray(stream.take(c * m).reshape(c, m).T)
+        blocks = block_buf[:, :c]
+        blocks[:] = stream.take(c * m).reshape(c, m).T
         index = index_buf[:c]
         for j in rounds:
             # The loop type is pinned: NumPy 1.x would pick it from the

@@ -1,5 +1,11 @@
 """Command-line surface: keygen, encrypt, decrypt, inspect, attack-demo.
 
+`encrypt` and `decrypt` stream: each reads its input in IO_CHUNK parts
+through one multi-part message of a CipherSession, so their memory does not
+grow with the file. The input must be a regular file, whose size fixes the
+container header before any output is written, and must not be the output
+file itself.
+
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
 """
@@ -8,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import zlib
 
@@ -16,7 +23,19 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .cipher import CipherSession
 from .classical import UNKNOWN, LeaderCipher, attack_decrypt, known_plaintext_learn
-from .codec import CipherContainer, KeyFile, read_container, read_key, write_container, write_key
+# write_container is unused here, but perfbench's tracer patches it in this
+# module's namespace, as it does read_key, read_container and zlib.
+from .codec import (
+    CRC_TRAILER,
+    HEADER_BYTES,
+    ContainerHeader,
+    KeyFile,
+    read_container,
+    read_container_header,
+    read_key,
+    write_container,
+    write_key,
+)
 from .errors import CodecError, InconsistentPairs, LsqError
 from .keystream import NONCE_BYTES, SEED_BYTES
 from .latin import MAX_ORDER, Quasigroup, generate_latin
@@ -27,6 +46,9 @@ EXIT_IO = 4
 EXIT_CHECKSUM = 5
 
 FORCE_NONCE_ENV = "LSQ_FORCE_NONCE"  # hex, test-only
+
+# Bytes per read when encrypt and decrypt stream a file.
+IO_CHUNK = 1 << 20
 
 
 def _fail(code: int, msg: str) -> int:
@@ -42,6 +64,55 @@ def _read_bytes(path: str) -> bytes:
 def _write_bytes(path: str, data: bytes):
     with open(path, "wb") as fh:
         fh.write(data)
+
+
+def _open_input(path: str, out: str):
+    """Open the input of a streaming run that writes `out`.
+
+    The input must be a regular file, so that its size is known before any
+    output is written, and must not be `out`, which opening for writing
+    would truncate before it is read. Both are usage errors.
+    """
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise ValueError(f"input must be a regular file: {path}")
+    try:
+        dst = os.stat(out)
+    except FileNotFoundError:
+        pass
+    else:
+        if (dst.st_dev, dst.st_ino) == (st.st_dev, st.st_ino):
+            raise ValueError(f"input and output are the same file: {path}")
+    return open(path, "rb")
+
+
+def _stream(src, dst, count: int, message, plain_in: bool) -> int:
+    """Run the next `count` bytes of `src` through the session method
+    `message` into `dst`, one IO_CHUNK part at a time.
+
+    Returns the CRC-32 of the plaintext side: the input when `plain_in`,
+    else the output. Raises OSError if `src` ends early.
+    """
+    buf = np.empty(min(count, IO_CHUNK), dtype=np.uint8)
+    crc = 0
+    while True:
+        part = buf[:min(count, IO_CHUNK)]
+        if src.readinto(part) != len(part):
+            raise OSError("input shrank while it was read")
+        count -= len(part)
+        out = message(part, final=not count)
+        dst.write(out)
+        crc = zlib.crc32(part if plain_in else out, crc)
+        if not count:
+            return crc
+
+
+def _read_to_end(src, n: int) -> bytes:
+    """The last `n` bytes of `src`; raises OSError if it does not end there."""
+    tail = src.read(n + 1)
+    if len(tail) != n:
+        raise OSError("input changed size while it was read")
+    return tail
 
 
 def _load_key(path: str) -> KeyFile:
@@ -80,32 +151,37 @@ def cmd_encrypt(args) -> int:
         return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
     if not 1 <= args.block <= 255:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
-    plaintext = _read_bytes(getattr(args, "in"))
-    nonce = _fresh_nonce()
-    session = CipherSession(kf.key, kf.seed, nonce, args.block, engine=args.engine)
-    payload = session.encrypt_message(plaintext)
-    container = CipherContainer(order=256, m=args.block, nonce=nonce,
-                                payload=payload, plaintext_crc=zlib.crc32(plaintext))
-    _write_bytes(args.out, write_container(container))
-    print(f"encrypted {len(plaintext)} bytes (m={args.block}, engine={args.engine}) -> {args.out}")
+    with _open_input(getattr(args, "in"), args.out) as src:
+        size = os.fstat(src.fileno()).st_size
+        nonce = _fresh_nonce()
+        header = ContainerHeader(order=256, m=args.block, nonce=nonce, count=size).pack()
+        session = CipherSession(kf.key, kf.seed, nonce, args.block, engine=args.engine)
+        with open(args.out, "wb") as dst:
+            dst.write(header)
+            crc = _stream(src, dst, size, session.encrypt_message, plain_in=True)
+            _read_to_end(src, 0)
+            dst.write(CRC_TRAILER.pack(crc))
+    print(f"encrypted {size} bytes (m={args.block}, engine={args.engine}) -> {args.out}")
     return 0
 
 
 def cmd_decrypt(args) -> int:
     kf = _load_key(args.key)
-    container = read_container(_read_bytes(getattr(args, "in")))
-    if container.order != kf.order:
-        return _fail(EXIT_FORMAT, f"container order {container.order} != key order {kf.order}")
-    if kf.order != 256:
-        return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
-    session = CipherSession(kf.key, kf.seed, container.nonce, container.m, engine=args.engine)
-    plaintext = session.decrypt_message(container.payload).tobytes()
-    _write_bytes(args.out, plaintext)
-    if zlib.crc32(plaintext) != container.plaintext_crc:
+    with _open_input(getattr(args, "in"), args.out) as src:
+        header = read_container_header(src.read(HEADER_BYTES), os.fstat(src.fileno()).st_size)
+        if header.order != kf.order:
+            return _fail(EXIT_FORMAT, f"container order {header.order} != key order {kf.order}")
+        if kf.order != 256:
+            return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
+        session = CipherSession(kf.key, kf.seed, header.nonce, header.m, engine=args.engine)
+        with open(args.out, "wb") as dst:
+            crc = _stream(src, dst, header.count, session.decrypt_message, plain_in=False)
+        (stored_crc,) = CRC_TRAILER.unpack(_read_to_end(src, CRC_TRAILER.size))
+    if crc != stored_crc:
         print("warning: diagnostic plaintext checksum mismatch (wrong key, "
               "tampering, or corruption); output written anyway", file=sys.stderr)
         return EXIT_CHECKSUM
-    print(f"decrypted {len(plaintext)} bytes -> {args.out}")
+    print(f"decrypted {header.count} bytes -> {args.out}")
     return 0
 
 

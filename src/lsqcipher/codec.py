@@ -35,6 +35,11 @@ from .keystream import NONCE_BYTES, SEED_BYTES
 KEY_MAGIC = b"LSQKEY\x00\x01"
 CONTAINER_MAGIC = b"LSQCT\x00\x00\x01"
 CONTAINER_VERSION = 1
+# magic, version, order, m, nonce, payload symbol count
+_HEADER = struct.Struct(f">{len(CONTAINER_MAGIC)}sBIB{NONCE_BYTES}sQ")
+HEADER_BYTES = _HEADER.size
+# the diagnostic plaintext CRC-32 that ends a container
+CRC_TRAILER = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,34 @@ class CipherContainer:
     nonce: bytes
     payload: np.ndarray          # symbols, dtype matching the order's width
     plaintext_crc: int           # diagnostic only; NOT an integrity mechanism
+
+
+@dataclass(frozen=True)
+class ContainerHeader:
+    """The fields ahead of a container's payload.
+
+    A container is this header, `count` payload symbols and a CRC trailer,
+    so the header alone fixes the size of the whole container.
+    """
+
+    order: int
+    m: int
+    nonce: bytes
+    count: int                   # payload symbols
+
+    @property
+    def size(self) -> int:
+        """Bytes in the whole container."""
+        width = symbol_dtype(self.order).itemsize
+        return HEADER_BYTES + self.count * width + CRC_TRAILER.size
+
+    def pack(self) -> bytes:
+        if self.m < 1 or self.m > 255:
+            raise LengthMismatch("block length m must be in [1, 255]")
+        if len(self.nonce) != NONCE_BYTES:
+            raise LengthMismatch(f"nonce must be {NONCE_BYTES} bytes")
+        return _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, self.order, self.m,
+                            self.nonce, self.count)
 
 
 def _symbol_bytes(symbols: np.ndarray, order: int) -> bytes:
@@ -113,56 +146,45 @@ def read_key(data: bytes) -> KeyFile:
 
 
 def write_container(ct: CipherContainer) -> bytes:
-    if ct.m < 1 or ct.m > 255:
-        raise LengthMismatch("block length m must be in [1, 255]")
-    if len(ct.nonce) != NONCE_BYTES:
-        raise LengthMismatch(f"nonce must be {NONCE_BYTES} bytes")
-    return (
-        CONTAINER_MAGIC
-        + struct.pack(">B", CONTAINER_VERSION)
-        + struct.pack(">I", ct.order)
-        + struct.pack(">B", ct.m)
-        + ct.nonce
-        + struct.pack(">Q", len(ct.payload))
-        + _symbol_bytes(ct.payload, ct.order)
-        + struct.pack(">I", ct.plaintext_crc)
-    )
+    header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
+    return (header.pack() + _symbol_bytes(ct.payload, ct.order)
+            + CRC_TRAILER.pack(ct.plaintext_crc))
 
 
-def read_container(data: bytes) -> CipherContainer:
+def read_container_header(data: bytes, size: int) -> ContainerHeader:
+    """Parse the header at the start of `data`, the first bytes of a
+    container that is `size` bytes long, and check that size against it.
+
+    `data` need hold no more than HEADER_BYTES, so a reader can check a
+    container's framing before it reads the payload.
+    """
     if len(data) < len(CONTAINER_MAGIC):
         raise TruncatedFile("container shorter than magic")
     if data[:len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
         raise BadMagic("not a ciphertext container")
-    pos = len(CONTAINER_MAGIC)
-    fixed = struct.calcsize(">BIB") + NONCE_BYTES + 8
-    if len(data) < pos + fixed:
+    if len(data) < HEADER_BYTES:
         raise TruncatedFile("container truncated in header")
-    version = data[pos]
-    pos += 1
+    _, version, order, m, nonce, count = _HEADER.unpack_from(data)
     if version != CONTAINER_VERSION:
         raise UnsupportedVersion(f"container version {version}")
-    (order,) = struct.unpack(">I", data[pos:pos + 4])
-    pos += 4
     if not 2 <= order <= MAX_ORDER:
         raise OutOfRange(f"container order {order} outside [2, {MAX_ORDER}]")
-    m = data[pos]
-    pos += 1
     if m < 1:
         raise LengthMismatch("block length m must be >= 1")
-    nonce = data[pos:pos + NONCE_BYTES]
-    pos += NONCE_BYTES
-    (count,) = struct.unpack(">Q", data[pos:pos + 8])
-    pos += 8
-    width = symbol_dtype(order).itemsize
-    total = pos + count * width + 4
-    if len(data) < total:
-        raise TruncatedFile(f"container needs {total} bytes, got {len(data)}")
-    if len(data) > total:
-        raise LengthMismatch(f"container has {len(data) - total} trailing bytes")
-    payload = _symbols_from(memoryview(data)[pos:total - 4], order)
-    if payload.size and payload.max() >= order:
-        raise OutOfRange(f"payload symbol {payload.max()} >= order {order}")
-    (crc,) = struct.unpack(">I", data[total - 4:total])
-    return CipherContainer(order=order, m=m, nonce=nonce, payload=payload,
-                           plaintext_crc=crc)
+    header = ContainerHeader(order=order, m=m, nonce=nonce, count=count)
+    if size < header.size:
+        raise TruncatedFile(f"container needs {header.size} bytes, got {size}")
+    if size > header.size:
+        raise LengthMismatch(f"container has {size - header.size} trailing bytes")
+    return header
+
+
+def read_container(data: bytes) -> CipherContainer:
+    header = read_container_header(data, len(data))
+    end = header.size - CRC_TRAILER.size
+    payload = _symbols_from(memoryview(data)[HEADER_BYTES:end], header.order)
+    if payload.size and payload.max() >= header.order:
+        raise OutOfRange(f"payload symbol {payload.max()} >= order {header.order}")
+    (crc,) = CRC_TRAILER.unpack_from(data, end)
+    return CipherContainer(order=header.order, m=header.m, nonce=header.nonce,
+                           payload=payload, plaintext_crc=crc)

@@ -9,6 +9,11 @@ order 256 passes raw bytes through.
 Reads are exact: a reader draws from ChaCha20 only the words behind the
 symbols it returns, and counts those bytes against a per-nonce cap of
 BYTE_CAP ChaCha20 bytes.
+
+Reads are also copy-free: ChaCha20 encrypts slices of one shared block of
+zeros straight into the array a read returns, and the wire-to-native
+byteswap and the power-of-two mask run in place on it. At power-of-two
+orders a read allocates nothing but its result.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ NONCE_BYTES = 12
 # 2.3); past that the counter carries into the nonce, and the stream would
 # overlap a neighbouring nonce's.
 BYTE_CAP = 1 << 38
+
+# ChaCha20 input for every read: its output is the keystream itself. Reads
+# longer than this run in slices of it.
+_ZEROS = memoryview(bytes(1 << 20))
 
 
 @dataclass(frozen=True)
@@ -82,12 +91,21 @@ class KeystreamReader:
         self._limit = space - space % n
 
     def _raw_words(self, count: int) -> np.ndarray:
+        """The next `count` generator words, native-endian, in a fresh array."""
         nbytes = count * self._wire.itemsize
         if self.bytes_read + nbytes > BYTE_CAP:
             raise StreamExhausted(f"per-nonce cap of {BYTE_CAP} ChaCha20 bytes reached")
         self.bytes_read += nbytes
-        block = self._enc.update(b"\x00" * nbytes)
-        return np.frombuffer(block, dtype=self._wire).astype(self._dtype)
+        words = np.empty(count, dtype=self._dtype)
+        out = words.view(np.uint8)
+        for lo in range(0, nbytes, len(_ZEROS)):
+            hi = min(nbytes, lo + len(_ZEROS))
+            self._enc.update_into(_ZEROS[:hi - lo], out[lo:hi])
+        if self._wire != self._dtype:
+            # Big-endian words on a little-endian host. A casting copy onto
+            # itself swaps in place, several times faster than byteswap.
+            np.copyto(words, words.view(self._wire))
+        return words
 
     def _symbols(self, words: int) -> np.ndarray:
         """Symbols from the next `words` words: one per accepted word."""
@@ -96,7 +114,9 @@ class KeystreamReader:
         if self._pow2:
             raw &= n - 1  # identity when n fills the word
             return raw
-        return raw[raw < self._limit] % n
+        kept = raw[raw < self._limit]
+        kept %= n
+        return kept
 
     def take(self, count: int) -> np.ndarray:
         """The next `count` symbols of the flat stream.

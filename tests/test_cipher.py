@@ -175,6 +175,25 @@ class TestMessages:
         with pytest.raises(NonceReuse):
             s.decrypt_message(b"two")
 
+    def test_no_part_after_a_final_part(self, key256):
+        for first, then in [("encrypt", "encrypt"), ("encrypt", "decrypt"),
+                            ("decrypt", "decrypt"), ("decrypt", "encrypt")]:
+            s = session(key256)
+            getattr(s, f"{first}_message")(b"one")
+            with pytest.raises(NonceReuse):
+                getattr(s, f"{then}_message")(b"two", final=False)
+
+    def test_open_message_keeps_its_direction(self, key256):
+        s = session(key256)
+        s.encrypt_message(b"one", final=False)
+        with pytest.raises(NonceReuse):
+            s.decrypt_message(b"two")
+        s.encrypt_message(b"two")
+        s = session(key256)
+        s.decrypt_message(b"one", final=False)
+        with pytest.raises(NonceReuse):
+            s.encrypt_message(b"two", final=False)
+
     def test_out_of_range_symbols_rejected(self, z3):
         with pytest.raises(ValueError):
             session(z3).encrypt_message([0, 1, 3])
@@ -317,3 +336,31 @@ def test_roundtrip_property(key256_global, msg, m, nonce, engine):
 @pytest.fixture(scope="module")
 def key256_global():
     return random_automaton(256)
+
+
+@pytest.fixture(scope="module")
+def split_keys():
+    return {n: random_automaton(n) for n in (5, 256, 300)}
+
+
+def _in_parts(process, message, cuts):
+    """Run `message` through `process` as final=False parts split at `cuts`,
+    then one final part."""
+    parts = np.split(message, sorted(cuts))
+    out = [process(p, final=False) for p in parts[:-1]] + [process(parts[-1])]
+    return np.concatenate(out)
+
+
+@given(data=st.data(), n=st.sampled_from([5, 256, 300]), m=st.sampled_from([1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_any_split_gives_the_same_bytes(split_keys, data, n, m):
+    key = split_keys[n]
+    msg = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=300)),
+                   dtype=symbol_dtype(n))
+    cut = st.lists(st.integers(0, len(msg)), max_size=6)
+    whole = CipherSession(key, SEED, NONCE, m).encrypt_message(msg)
+    parts = _in_parts(CipherSession(key, SEED, NONCE, m).encrypt_message, msg, data.draw(cut))
+    assert parts.dtype == whole.dtype and parts.tobytes() == whole.tobytes()
+    plain = CipherSession(key, SEED, NONCE, m).decrypt_message(whole)
+    back = _in_parts(CipherSession(key, SEED, NONCE, m).decrypt_message, whole, data.draw(cut))
+    assert back.tobytes() == plain.tobytes() == msg.tobytes()

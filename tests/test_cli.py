@@ -1,13 +1,19 @@
 import hashlib
 import os
+import signal
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsqcipher
 from lsqcipher.cli import (
     EXIT_CHECKSUM,
     EXIT_FORMAT,
+    EXIT_IO,
     EXIT_USAGE,
     FORCE_NONCE_ENV,
     main,
@@ -134,6 +140,94 @@ class TestEncryptDecrypt:
         src.write_bytes(b"x")
         assert main(["encrypt", "--key", str(bad), "--in", str(src),
                      "--out", str(tmp_path / "ct")]) == EXIT_FORMAT
+
+
+class TestStreamingInput:
+    """encrypt and decrypt stream a regular input file into another file."""
+
+    def encrypt(self, keyfile, src, dst):
+        return main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(dst)])
+
+    def test_in_place_encrypt_refused(self, tmp_path, keyfile):
+        src = tmp_path / "plain"
+        src.write_bytes(b"do not truncate me" * 100)
+        assert self.encrypt(keyfile, src, src) == EXIT_USAGE
+        assert src.read_bytes() == b"do not truncate me" * 100
+
+    def test_in_place_decrypt_refused(self, tmp_path, keyfile):
+        src, ct = tmp_path / "plain", tmp_path / "ct"
+        src.write_bytes(b"payload" * 100)
+        assert self.encrypt(keyfile, src, ct) == 0
+        blob = ct.read_bytes()
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(ct),
+                     "--out", str(ct)]) == EXIT_USAGE
+        assert ct.read_bytes() == blob
+
+    def test_hard_link_to_input_refused(self, tmp_path, keyfile):
+        src, link = tmp_path / "plain", tmp_path / "link"
+        src.write_bytes(b"abc")
+        os.link(src, link)
+        assert self.encrypt(keyfile, src, link) == EXIT_USAGE
+        assert src.read_bytes() == b"abc"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_input_refused_before_output_opens(self, tmp_path, keyfile):
+        fifo, out = tmp_path / "fifo", tmp_path / "out"
+        os.mkfifo(fifo)
+
+        def opened_the_fifo(signum, frame):
+            # Opening a FIFO with no writer blocks: fail instead of hanging.
+            raise TimeoutError("the CLI opened the FIFO")
+        previous = signal.signal(signal.SIGALRM, opened_the_fifo)
+        signal.alarm(10)
+        try:
+            assert self.encrypt(keyfile, fifo, out) == EXIT_USAGE
+            assert main(["decrypt", "--key", str(keyfile), "--in", str(fifo),
+                         "--out", str(out)]) == EXIT_USAGE
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("drift", [-5, 5])
+    def test_input_size_change_is_io_error(self, tmp_path, keyfile, monkeypatch, drift):
+        # The input yields `drift` more (or fewer) bytes than its fstat size.
+        src = tmp_path / "plain"
+        src.write_bytes(os.urandom(1000))
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], st.st_size - drift, *st[7:10]))
+        monkeypatch.setattr(os, "fstat", fstat)
+        assert self.encrypt(keyfile, src, tmp_path / "ct") == EXIT_IO
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_flat_in_file_size(self, tmp_path, keyfile):
+        # A child process encrypts and decrypts one file at m=1 and reports
+        # its own peak RSS; a whole-file CLI would peak several times the
+        # file size higher on the larger file.
+        child = ("import os, resource, sys\n"
+                 "from lsqcipher.cli import main\n"
+                 "key, src, ct = sys.argv[1:]\n"
+                 "assert main(['encrypt', '--key', key, '--in', src, '--out', ct, '-m', '1']) == 0\n"
+                 "assert main(['decrypt', '--key', key, '--in', ct, '--out', os.devnull]) == 0\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+        rng = np.random.default_rng(5)
+        peak_kib = []
+        for mib in (16, 64):
+            src, ct = tmp_path / "plain", tmp_path / "ct"
+            with open(src, "wb") as fh:
+                for _ in range(mib):
+                    fh.write(rng.bytes(1 << 20))
+            proc = subprocess.run([sys.executable, "-c", child, str(keyfile), str(src), str(ct)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            peak_kib.append(int(proc.stdout.split()[-1]))
+            src.unlink()
+            ct.unlink()
+        assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
 
 
 class TestInspect:

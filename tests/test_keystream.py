@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -135,3 +137,22 @@ class TestCap:
         with pytest.raises(StreamExhausted):
             reader.take(1)
         assert reader.bytes_read == BYTE_CAP
+
+
+class TestCopyFree:
+    @pytest.mark.parametrize("order", [16, 256, 65536])
+    def test_power_of_two_read_allocates_only_its_result(self, order):
+        # 2 MiB of ChaCha20 output at order 65536 crosses the 1 MiB slices
+        # the reader encrypts its zeros in.
+        reader = open_stream(spec(order=order))
+        tracemalloc.start()
+        try:
+            got = reader.take(1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * got.nbytes
+        chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
+        raw = Cipher(chacha, mode=None).encryptor().update(bytes(got.nbytes))
+        words = np.frombuffer(raw, dtype=">u2" if order > 256 else np.uint8)
+        assert np.array_equal(got, words & (order - 1))

@@ -22,7 +22,7 @@ from .codec import (
     write_container,
     write_key,
 )
-from .keystream import KeystreamReader, KeystreamSpec, open_stream
+from .keystream import KeystreamReader, KeystreamSpec
 from .latin import (
     LatinSquare,
     Quasigroup,
@@ -40,7 +40,7 @@ __all__ = [
     "attack_decrypt", "known_plaintext_learn",
     "CipherContainer", "KeyFile",
     "read_container", "read_key", "write_container", "write_key",
-    "KeystreamReader", "KeystreamSpec", "open_stream",
+    "KeystreamReader", "KeystreamSpec",
     "LatinSquare", "Quasigroup",
     "fold_left_div", "fold_mul", "generate_latin", "validate_latin",
     "errors",

@@ -86,7 +86,8 @@ class KeyAutomaton:
 
 
 def reverse_run(a_inv: KeyAutomaton, b_n: int, w: Sequence[int]) -> int:
-    """Decryption kernel: last state of running the reversed word on A^-1."""
+    """The paper's decryption: last state of running the reversed word on
+    A^-1. A scalar oracle; messages decrypt through `cipher._chain`."""
     if len(w) == 0:
         raise EmptyInput("reverse_run needs a nonempty word")
     return a_inv.last_state(b_n, list(reversed(list(w))))

@@ -4,16 +4,14 @@ Each ciphertext symbol c_i is the last state reached by running keystream
 block r_i from state p_i on the key automaton; read as a quasigroup, the
 same lookups fold the block through the product. Decryption runs the
 mirrored block on the key's row inverse, which is also left division.
-Messages go through one vectorised kernel, `_chain`, whatever the engine.
-Since c_i depends only on p_i and r_i, the kernel runs in fixed chunks of
-message symbols with narrow table indices, so its working memory does not
-grow with the message length. For the same reason a message may arrive in
-parts: `encrypt_message(part, final=False)` keeps the session open, and
-symbol i consumes block i however the message is split, so the parts
-concatenate to the ciphertext of one call.
-The engine names the reading the per-symbol methods use: "fa"
-(`last_state`) or "qg" (`fold_mul` / `fold_left_div`). Both give identical
-ciphertexts.
+Messages go through one vectorised kernel, `_chain`; the scalar readings
+(`KeyAutomaton.last_state`, `fold_mul`, `fold_left_div`) are its test
+oracles. Since c_i depends only on p_i and r_i, the kernel runs in fixed
+chunks of message symbols with narrow table indices, so its working memory
+does not grow with the message length. For the same reason a message may
+arrive in parts: `encrypt_message(part, final=False)` keeps the session
+open, and symbol i consumes block i however the message is split, so the
+parts concatenate to the ciphertext of one call.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .errors import NonceReuse
 from .keystream import KeystreamReader, KeystreamSpec
-from .latin import fold_left_div, fold_mul
 
 ENGINES = ("fa", "qg")
 
@@ -32,12 +29,16 @@ _CHUNK = 1 << 16
 
 
 class CipherSession:
-    """Single-message cipher state: key views plus one keystream reader.
+    """Single-message cipher state: key, row inverse and a keystream reader.
 
     A session is sequential: its stream position advances with every symbol.
     Message-level calls claim the whole session for one message in one
     direction; starting a second message on the same (seed, nonce), or
     switching direction mid-message, raises NonceReuse.
+
+    `engine` names a reading of the table, "fa" (automaton) or "qg"
+    (quasigroup). It is validated but selects no code: both readings are
+    the same lookups.
     """
 
     def __init__(self, key: KeyAutomaton, seed: bytes, nonce: bytes, m: int,
@@ -46,39 +47,11 @@ class CipherSession:
             raise ValueError(f"engine must be one of {ENGINES}")
         self.key = key
         self.inverse_key = key.invert()
-        self.quasigroup = key.quasigroup()
-        self.engine = engine
         self.m = m
         self.spec = KeystreamSpec(seed=seed, nonce=nonce, m=m, order=key.order)
         self.stream = KeystreamReader(self.spec)
         self._open = None   # direction of a message still taking parts
         self._done = False  # a final part has been processed
-
-    # --- per-symbol kernels (advance the stream by one block each) ---
-
-    def encrypt_symbol_fa(self, p: int) -> int:
-        r = self.stream.next_block()
-        return self.key.last_state(p, r)
-
-    def decrypt_symbol_fa(self, c: int) -> int:
-        r = self.stream.next_block()
-        return self.inverse_key.last_state(c, r[::-1])
-
-    def encrypt_symbol_qg(self, p: int) -> int:
-        block = self.stream.next_block()
-        return fold_mul(self.quasigroup, block, p)
-
-    def decrypt_symbol_qg(self, c: int) -> int:
-        block = self.stream.next_block()
-        return fold_left_div(self.quasigroup, block, c)
-
-    def encrypt_symbol(self, p: int) -> int:
-        return self.encrypt_symbol_fa(p) if self.engine == "fa" else self.encrypt_symbol_qg(p)
-
-    def decrypt_symbol(self, c: int) -> int:
-        return self.decrypt_symbol_fa(c) if self.engine == "fa" else self.decrypt_symbol_qg(c)
-
-    # --- message level ---
 
     def encrypt_message(self, plaintext, final: bool = True) -> np.ndarray:
         """Encrypt a symbol sequence; symbol i consumes stream block i.
@@ -107,15 +80,18 @@ class CipherSession:
 
 
 def _as_symbols(seq, order: int) -> np.ndarray:
-    """The message as an array, without copying an array or a byte string."""
+    """The message as an array, without copying an array or a byte string.
+
+    Values are scanned only if the dtype can hold one outside [0, order)."""
     if isinstance(seq, np.ndarray):
         arr = seq
     elif isinstance(seq, (bytes, bytearray)):
         arr = np.frombuffer(seq, dtype=np.uint8)
     else:
         arr = np.asarray(list(seq))
-    if arr.size and not (np.issubdtype(arr.dtype, np.integer)
-                         and arr.min() >= 0 and arr.max() < order):
+    if arr.size and not (np.issubdtype(arr.dtype, np.integer) and (
+            (arr.dtype.kind == "u" and np.iinfo(arr.dtype).max < order)
+            or (arr.min() >= 0 and arr.max() < order))):
         raise ValueError(f"symbols must be integers in [0, {order})")
     return arr
 

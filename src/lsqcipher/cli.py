@@ -23,11 +23,13 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .cipher import CipherSession
 from .classical import UNKNOWN, LeaderCipher, attack_decrypt, known_plaintext_learn
-# write_container is unused here, but perfbench's tracer patches it in this
-# module's namespace, as it does read_key, read_container and zlib.
+# read_container and write_container are unused here, but perfbench's tracer
+# patches both in this module's namespace, as it does read_key and zlib.
 from .codec import (
+    CONTAINER_MAGIC,
     CRC_TRAILER,
     HEADER_BYTES,
+    KEY_MAGIC,
     ContainerHeader,
     KeyFile,
     read_container,
@@ -36,9 +38,9 @@ from .codec import (
     write_container,
     write_key,
 )
-from .errors import CodecError, InconsistentPairs, LsqError
+from .errors import CodecError, InconsistentPairs, LsqError, OutOfRange
 from .keystream import NONCE_BYTES, SEED_BYTES
-from .latin import MAX_ORDER, Quasigroup, generate_latin
+from .latin import MAX_ORDER, Quasigroup, generate_latin, symbol_wire_dtype
 
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
@@ -54,16 +56,6 @@ IO_CHUNK = 1 << 20
 def _fail(code: int, msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def _open_input(path: str, out: str):
@@ -107,6 +99,24 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
             return crc
 
 
+def _check_payload(src, header: ContainerHeader):
+    """Raise OutOfRange, as read_container does, if a payload symbol read
+    from `src` in IO_CHUNK parts is not below the order. Reads nothing at
+    orders that fill the symbol width, where every value is a symbol."""
+    wire = symbol_wire_dtype(header.order)
+    if np.iinfo(wire).max < header.order:
+        return
+    buf = np.empty(IO_CHUNK // wire.itemsize, dtype=wire)
+    left = header.count
+    while left:
+        part = buf[:min(left, len(buf))]
+        if src.readinto(part) != part.nbytes:
+            raise OSError("input shrank while it was read")
+        left -= len(part)
+        if part.max() >= header.order:
+            raise OutOfRange(f"payload symbol {part.max()} >= order {header.order}")
+
+
 def _read_to_end(src, n: int) -> bytes:
     """The last `n` bytes of `src`; raises OSError if it does not end there."""
     tail = src.read(n + 1)
@@ -116,7 +126,8 @@ def _read_to_end(src, n: int) -> bytes:
 
 
 def _load_key(path: str) -> KeyFile:
-    return read_key(_read_bytes(path))
+    with open(path, "rb") as fh:
+        return read_key(fh.read())
 
 
 def _fresh_nonce() -> bytes:
@@ -140,7 +151,8 @@ def cmd_keygen(args) -> int:
         return _fail(EXIT_USAGE, f"keystream seed must be {SEED_BYTES} bytes")
     square = generate_latin(args.order, table_seed, walk_steps=args.walk_steps)
     kf = KeyFile(key=KeyAutomaton(square.order, square), seed=ks_seed)
-    _write_bytes(args.out, write_key(kf))
+    with open(args.out, "wb") as fh:
+        fh.write(write_key(kf))
     print(f"wrote key: order={args.order} walk_steps={args.walk_steps} -> {args.out}")
     return 0
 
@@ -186,24 +198,27 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    data = _read_bytes(args.path)
-    from .codec import CONTAINER_MAGIC, KEY_MAGIC
-    if data[:len(KEY_MAGIC)] == KEY_MAGIC:
-        kf = read_key(data)
-        print("type: key file")
-        print(f"order: {kf.order}")
-        print("latin: valid")
-        print("checksum: ok")
-    elif data[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC:
-        ct = read_container(data)
-        print("type: ciphertext container")
-        print(f"order: {ct.order}")
-        print(f"block length m: {ct.m}")
-        print(f"nonce: {ct.nonce.hex()}")
-        print(f"payload symbols: {len(ct.payload)}")
-        print(f"plaintext crc (diagnostic): {ct.plaintext_crc:#010x}")
-    else:
-        raise CodecError("BadMagic: file is neither a key file nor a container")
+    with open(args.path, "rb") as fh:
+        head = fh.read(HEADER_BYTES)
+        if head[:len(KEY_MAGIC)] == KEY_MAGIC:
+            kf = read_key(head + fh.read())
+            print("type: key file")
+            print(f"order: {kf.order}")
+            print("latin: valid")
+            print("checksum: ok")
+        elif head[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC:
+            header = read_container_header(head, os.fstat(fh.fileno()).st_size)
+            _check_payload(fh, header)
+            fh.seek(header.size - CRC_TRAILER.size)
+            (crc,) = CRC_TRAILER.unpack(_read_to_end(fh, CRC_TRAILER.size))
+            print("type: ciphertext container")
+            print(f"order: {header.order}")
+            print(f"block length m: {header.m}")
+            print(f"nonce: {header.nonce.hex()}")
+            print(f"payload symbols: {header.count}")
+            print(f"plaintext crc (diagnostic): {crc:#010x}")
+        else:
+            raise CodecError("BadMagic: file is neither a key file nor a container")
     return 0
 
 

@@ -63,10 +63,6 @@ class KeystreamSpec:
             raise InvalidSpec(f"order must be in [2, {MAX_ORDER}], got {self.order}")
 
 
-def open_stream(spec: KeystreamSpec) -> "KeystreamReader":
-    return KeystreamReader(spec)
-
-
 class KeystreamReader:
     """Sequential reader over the symbol stream of one KeystreamSpec.
 

@@ -56,9 +56,6 @@ class LatinSquare:
             return NotImplemented
         return self.order == other.order and np.array_equal(self.entries, other.entries)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
     def row_inverse(self) -> "LatinSquare":
         """The square inv with inv[i, entries[i, j]] = j, row by row.
 

@@ -21,6 +21,20 @@ def random_automaton(n, seed=b"test-key"):
     return KeyAutomaton(sq.order, sq)
 
 
+class ForcedStream:
+    """Test stub replaying a fixed symbol sequence instead of ChaCha20."""
+
+    def __init__(self, symbols):
+        self.symbols = list(symbols)
+        self.pos = 0
+
+    def take(self, count):
+        out = self.symbols[self.pos:self.pos + count]
+        assert len(out) == count, "forced stream ran dry"
+        self.pos += count
+        return np.asarray(out, dtype=np.int64)
+
+
 def all_words(alphabet, max_len):
     """Every word over range(alphabet) of length 1..max_len."""
     for length in range(1, max_len + 1):

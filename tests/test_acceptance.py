@@ -33,7 +33,7 @@ from lsqcipher.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from lsqcipher.keystream import KeystreamSpec, open_stream
+from lsqcipher.keystream import KeystreamReader, KeystreamSpec
 from lsqcipher.latin import Quasigroup, fold_left_div, fold_mul, generate_latin, validate_latin
 
 SEED = bytes(range(32))
@@ -225,14 +225,14 @@ def test_criterion_7_classical_cipher():
 def test_criterion_8_keystream_quality():
     n = 200
     spec = KeystreamSpec(seed=SEED, nonce=b"\x08" * 12, m=1, order=n)
-    a = open_stream(spec).take(1_000_000)
-    b = open_stream(spec).take(1_000_000)
+    a = KeystreamReader(spec).take(1_000_000)
+    b = KeystreamReader(spec).take(1_000_000)
     ok = np.array_equal(a, b)
     freq = np.bincount(a, minlength=n)
     p = 1 / n
     sigma = np.sqrt(1_000_000 * p * (1 - p))
     ok = ok and bool(np.all(np.abs(freq - 1_000_000 * p) < 5 * sigma))
-    blocked = open_stream(KeystreamSpec(seed=SEED, nonce=b"\x08" * 12, m=7, order=n))
+    blocked = KeystreamReader(KeystreamSpec(seed=SEED, nonce=b"\x08" * 12, m=7, order=n))
     view = np.concatenate([blocked.next_block() for _ in range(100)])
     ok = ok and np.array_equal(view, a[:700])
     report(8, ok, "keystream determinism, 5-sigma uniformity at n=200, blocking neutrality")

@@ -11,28 +11,10 @@ from lsqcipher.errors import NonceReuse
 from lsqcipher.keystream import KeystreamReader, KeystreamSpec
 from lsqcipher.latin import fold_left_div, fold_mul, symbol_dtype
 
-from conftest import cyclic_automaton, random_automaton
+from conftest import ForcedStream, random_automaton
 
 SEED = bytes(range(32))
 NONCE = b"\x01" * 12
-
-
-class ForcedStream:
-    """Test stub replaying a fixed symbol sequence instead of ChaCha20."""
-
-    def __init__(self, symbols, m):
-        self.symbols = list(symbols)
-        self.m = m
-        self.pos = 0
-
-    def take(self, count):
-        out = self.symbols[self.pos:self.pos + count]
-        assert len(out) == count, "forced stream ran dry"
-        self.pos += count
-        return np.asarray(out, dtype=np.int64)
-
-    def next_block(self):
-        return self.take(self.m)
 
 
 def session(key, m=4, engine="fa", nonce=NONCE):
@@ -41,7 +23,7 @@ def session(key, m=4, engine="fa", nonce=NONCE):
 
 def forced_session(key, symbols, m, engine="fa"):
     s = session(key, m=m, engine=engine)
-    s.stream = ForcedStream(symbols, m)
+    s.stream = ForcedStream(symbols)
     return s
 
 
@@ -57,20 +39,20 @@ class TestGoldenZ3:
 
     def test_fa_encrypt(self, z3):
         s = forced_session(z3, (2, 0, 1), 3)
-        assert s.encrypt_symbol_fa(1) == 1
+        assert s.encrypt_message([1])[0] == z3.last_state(1, (2, 0, 1)) == 1
         assert self.modular_oracle(1, (2, 0, 1)) == 1
 
     def test_fa_decrypt(self, z3):
         s = forced_session(z3, (2, 0, 1), 3)
-        assert s.decrypt_symbol_fa(1) == 1
+        assert s.decrypt_message([1])[0] == z3.invert().last_state(1, (1, 0, 2)) == 1
 
-    def test_qg_encrypt(self, z3):
+    def test_qg_encrypt(self, z3, z3_q):
         s = forced_session(z3, (2, 0, 1), 3, engine="qg")
-        assert s.encrypt_symbol_qg(1) == 1
+        assert s.encrypt_message([1])[0] == fold_mul(z3_q, (2, 0, 1), 1) == 1
 
-    def test_qg_decrypt(self, z3):
+    def test_qg_decrypt(self, z3, z3_q):
         s = forced_session(z3, (2, 0, 1), 3, engine="qg")
-        assert s.decrypt_symbol_qg(1) == 1
+        assert s.decrypt_message([1])[0] == fold_left_div(z3_q, (2, 0, 1), 1) == 1
 
     def test_message_level(self, z3):
         enc = forced_session(z3, (2, 0, 1), 3)
@@ -81,7 +63,7 @@ class TestGoldenZ3:
     def test_oracle_agrees_everywhere(self, z3):
         for p in range(3):
             s = forced_session(z3, (2, 0, 1), 3)
-            assert s.encrypt_symbol_fa(p) == self.modular_oracle(p, (2, 0, 1))
+            assert s.encrypt_message([p])[0] == self.modular_oracle(p, (2, 0, 1))
 
 
 class TestSymbolKernels:
@@ -90,9 +72,9 @@ class TestSymbolKernels:
             k = int(rng.integers(0, 256))
             p = int(rng.integers(0, 256))
             s = forced_session(key256, [k], 1)
-            assert s.encrypt_symbol_fa(p) == key256.step(p, k)
+            assert s.encrypt_message([p])[0] == key256.step(p, k)
             s = forced_session(key256, [k], 1)
-            assert s.decrypt_symbol_fa(key256.step(p, k)) == p
+            assert s.decrypt_message([key256.step(p, k)])[0] == p
 
     def test_m1_qg_is_single_mul(self, key256, rng):
         q = key256.quasigroup()
@@ -100,7 +82,7 @@ class TestSymbolKernels:
             k = int(rng.integers(0, 256))
             p = int(rng.integers(0, 256))
             s = forced_session(key256, [k], 1, engine="qg")
-            assert s.encrypt_symbol_qg(p) == q.mul(k, p)
+            assert s.encrypt_message([p])[0] == fold_mul(q, [k], p) == q.mul(k, p)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fixed_block_is_bijection(self, n, rng):
@@ -109,7 +91,7 @@ class TestSymbolKernels:
         images = set()
         for p in range(n):
             s = forced_session(key, block, 4)
-            images.add(s.encrypt_symbol_fa(p))
+            images.add(s.encrypt_message([p])[0])
         assert images == set(range(n))
 
 
@@ -155,15 +137,15 @@ class TestMessages:
         msg = rng.integers(0, 256, 40).tolist()
         whole = session(key256, m=4).encrypt_message(msg)
         one_by_one = session(key256, m=4)
-        got = [one_by_one.encrypt_symbol_fa(p) for p in msg]
+        got = [one_by_one.encrypt_message([p], final=False)[0] for p in msg]
         assert whole.tolist() == got
 
     def test_m1_fast_path_matches_general(self, key256, rng):
-        # message-level m=1 output equals the per-symbol m=1 kernel stream
+        # one m=1 call equals the same message sent one symbol per part
         msg = rng.integers(0, 256, 100).tolist()
         whole = session(key256, m=1).encrypt_message(msg)
         per = session(key256, m=1)
-        assert whole.tolist() == [per.encrypt_symbol_fa(p) for p in msg]
+        assert whole.tolist() == [per.encrypt_message([p], final=False)[0] for p in msg]
 
     def test_nonce_reuse_rejected(self, key256):
         s = session(key256)
@@ -197,6 +179,15 @@ class TestMessages:
     def test_out_of_range_symbols_rejected(self, z3):
         with pytest.raises(ValueError):
             session(z3).encrypt_message([0, 1, 3])
+
+    @pytest.mark.parametrize("message", [np.array([0, -1], dtype=np.int8),
+                                         np.array([0, 256], dtype=np.uint16)])
+    def test_wider_or_signed_dtype_is_range_checked(self, key256, message):
+        # only an unsigned dtype whose maximum is below the order skips the scan
+        with pytest.raises(ValueError, match="integers"):
+            session(key256).encrypt_message(message)
+        with pytest.raises(ValueError, match="integers"):
+            session(key256).decrypt_message(message)
 
     @pytest.mark.parametrize("message", [np.array([1.5, 2.9]), [1.5, 2.9]])
     def test_non_integer_symbols_rejected(self, key256, message):

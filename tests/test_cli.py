@@ -18,9 +18,16 @@ from lsqcipher.cli import (
     FORCE_NONCE_ENV,
     main,
 )
-from lsqcipher.codec import read_container, read_key
+from lsqcipher.codec import (
+    CipherContainer,
+    ContainerHeader,
+    read_container,
+    read_key,
+    write_container,
+)
 
 FORCED_NONCE = "0102030405060708090a0b0c"
+MIB = 1 << 20
 
 
 @pytest.fixture
@@ -264,6 +271,50 @@ class TestInspect:
         ct.write_bytes(bytes(blob))
         assert main(["inspect", str(ct)]) == EXIT_FORMAT
 
+    def test_order_300_payload_range_checked(self, tmp_path, capsys):
+        # Two-byte symbols can hold values >= 300; the last one sits past
+        # the first IO_CHUNK of the payload.
+        payload = np.random.default_rng(3).integers(0, 300, 600_000).astype(np.uint16)
+        path = tmp_path / "ct"
+        for last, code in ((299, 0), (300, EXIT_FORMAT)):
+            payload[-1] = last
+            path.write_bytes(write_container(CipherContainer(
+                order=300, m=2, nonce=bytes(12), payload=payload, plaintext_crc=0xdeadbeef)))
+            assert main(["inspect", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert "order: 300" in out and "payload symbols: 600000" in out
+        assert "plaintext crc (diagnostic): 0xdeadbeef" in out
+        assert "payload symbol 300 >= order 300" in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("order", [256, 300])
+    def test_peak_memory_flat_in_container_size(self, tmp_path, order):
+        # A child process inspects one container and reports its own peak
+        # RSS; reading the whole file would peak higher by its size.
+        child = ("import resource, sys\n"
+                 "from lsqcipher.cli import main\n"
+                 "assert main(['inspect', sys.argv[1]]) == 0\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+        width = 1 if order == 256 else 2
+        chunk = np.random.default_rng(order).integers(0, order, MIB // width)
+        chunk = chunk.astype(">u2" if width == 2 else np.uint8).tobytes()
+        peak_kib = []
+        for mib in (1, 64):
+            path = tmp_path / "ct"
+            header = ContainerHeader(order=order, m=1, nonce=bytes(12), count=mib * MIB // width)
+            with open(path, "wb") as fh:
+                fh.write(header.pack())
+                for _ in range(mib):
+                    fh.write(chunk)
+                fh.write(bytes(4))
+            proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            peak_kib.append(int(proc.stdout.split()[-1]))
+            path.unlink()
+        assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
+
 
 class TestAttackDemo:
     def test_default_report(self, capsys):
@@ -287,7 +338,6 @@ class TestAttackDemo:
 # SHA-256 of the container the CLI writes for a fixed key, forced nonce and
 # plaintext, keyed by (plaintext bytes, m). The sizes sit on and around
 # 1 MiB boundaries, so they cross the CLI's I/O chunks.
-MIB = 1 << 20
 PINNED_CONTAINERS = {
     (0, 1): "76bd06357b92c4aada390c22a4d8ff24cc243a9b49ecc6ee054bdf676daa0720",
     (0, 16): "2b103122f0fb6f6197b20b1600381f416c43abaeae394197664ff92ebdd595c6",

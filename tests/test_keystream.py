@@ -7,8 +7,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from lsqcipher.errors import InvalidSpec, StreamExhausted
 from lsqcipher.keystream import (
     BYTE_CAP,
+    KeystreamReader,
     KeystreamSpec,
-    open_stream,
 )
 
 SEED = bytes(range(32))
@@ -41,19 +41,19 @@ class TestSpecValidation:
 class TestDeterminism:
     @pytest.mark.parametrize("order", [2, 3, 200, 256, 1000])
     def test_same_spec_same_stream(self, order):
-        a = open_stream(spec(order=order)).take(4096)
-        b = open_stream(spec(order=order)).take(4096)
+        a = KeystreamReader(spec(order=order)).take(4096)
+        b = KeystreamReader(spec(order=order)).take(4096)
         assert np.array_equal(a, b)
 
     def test_blocking_is_a_view(self):
-        flat = open_stream(spec(m=1)).take(64)
-        blocked = open_stream(spec(m=4))
+        flat = KeystreamReader(spec(m=1)).take(64)
+        blocked = KeystreamReader(spec(m=4))
         got = np.concatenate([blocked.next_block() for _ in range(16)])
         assert np.array_equal(flat, got)
 
     def test_interleaved_reads_concatenate(self):
-        one = open_stream(spec()).take(100)
-        other = open_stream(spec())
+        one = KeystreamReader(spec()).take(100)
+        other = KeystreamReader(spec())
         chunks = [other.take(1), other.take(3), other.take(96)]
         assert np.array_equal(one, np.concatenate(chunks))
 
@@ -62,8 +62,8 @@ class TestDeterminism:
             n1, n2 = rng.bytes(12), rng.bytes(12)
             if n1 == n2:
                 continue
-            a = open_stream(spec(nonce=n1)).take(64)
-            b = open_stream(spec(nonce=n2)).take(64)
+            a = KeystreamReader(spec(nonce=n1)).take(64)
+            b = KeystreamReader(spec(nonce=n2)).take(64)
             assert not np.array_equal(a, b)
 
 
@@ -72,13 +72,13 @@ class TestSymbolExtraction:
         # independent oracle: the raw ChaCha20 keystream for this seed/nonce
         chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
         raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 512)
-        got = open_stream(spec(order=256)).take(512)
+        got = KeystreamReader(spec(order=256)).take(512)
         assert got.tobytes() == raw
 
     def test_power_of_two_masks_raw_bytes(self):
         chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
         raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 512)
-        got = open_stream(spec(order=16)).take(512)
+        got = KeystreamReader(spec(order=16)).take(512)
         assert np.array_equal(got, np.frombuffer(raw, dtype=np.uint8) & 15)
 
     def test_rejection_matches_scalar_oracle(self):
@@ -88,17 +88,17 @@ class TestSymbolExtraction:
         raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * (1 << 16))
         limit = 256 - 256 % n
         expected = [b % n for b in raw if b < limit][:1000]
-        got = open_stream(spec(order=n)).take(1000)
+        got = KeystreamReader(spec(order=n)).take(1000)
         assert got.tolist() == expected
 
     def test_symbols_in_range(self):
         for order in (2, 3, 5, 200, 300, 1000):
-            sym = open_stream(spec(order=order)).take(10_000)
+            sym = KeystreamReader(spec(order=order)).take(10_000)
             assert sym.min() >= 0
             assert int(sym.max()) < order
 
     def test_wide_symbols_use_two_byte_words(self):
-        got = open_stream(spec(order=65536)).take(256)
+        got = KeystreamReader(spec(order=65536)).take(256)
         chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
         raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 512)
         assert np.array_equal(got, np.frombuffer(raw, dtype=">u2"))
@@ -106,7 +106,7 @@ class TestSymbolExtraction:
     def test_uniformity_5_sigma(self):
         n = 200
         count = 200_000
-        sym = open_stream(spec(order=n)).take(count)
+        sym = KeystreamReader(spec(order=n)).take(count)
         freq = np.bincount(sym, minlength=n)
         p = 1 / n
         sigma = np.sqrt(count * p * (1 - p))
@@ -123,7 +123,7 @@ class TestExactReads:
         limit = space - space % order
         words = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
         accepted = [i for i, w in enumerate(words) if w < limit]
-        reader = open_stream(spec(order=order))
+        reader = KeystreamReader(spec(order=order))
         reader.take(100)
         assert reader.bytes_read == (accepted[99] + 1) * width
 
@@ -131,7 +131,7 @@ class TestExactReads:
 class TestCap:
     @pytest.mark.parametrize("order, width", [(256, 1), (512, 2)])
     def test_byte_cap_enforced(self, order, width):
-        reader = open_stream(spec(order=order))
+        reader = KeystreamReader(spec(order=order))
         reader.bytes_read = BYTE_CAP - width
         reader.take(1)
         with pytest.raises(StreamExhausted):
@@ -144,7 +144,7 @@ class TestCopyFree:
     def test_power_of_two_read_allocates_only_its_result(self, order):
         # 2 MiB of ChaCha20 output at order 65536 crosses the 1 MiB slices
         # the reader encrypts its zeros in.
-        reader = open_stream(spec(order=order))
+        reader = KeystreamReader(spec(order=order))
         tracemalloc.start()
         try:
             got = reader.take(1 << 20)

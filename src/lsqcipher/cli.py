@@ -40,7 +40,7 @@ from .codec import (
 )
 from .errors import CodecError, InconsistentPairs, LsqError, OutOfRange
 from .keystream import NONCE_BYTES, SEED_BYTES
-from .latin import MAX_ORDER, Quasigroup, generate_latin, symbol_wire_dtype
+from .latin import Quasigroup, generate_latin, symbol_wire_dtype
 
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
@@ -141,10 +141,6 @@ def _fresh_nonce() -> bytes:
 
 
 def cmd_keygen(args) -> int:
-    if not 2 <= args.order <= MAX_ORDER:
-        return _fail(EXIT_USAGE, f"order must be in [2, {MAX_ORDER}]")
-    if args.walk_steps < 0:
-        return _fail(EXIT_USAGE, "walk steps must be >= 0")
     table_seed = bytes.fromhex(args.table_seed) if args.table_seed else os.urandom(32)
     ks_seed = bytes.fromhex(args.keystream_seed) if args.keystream_seed else os.urandom(SEED_BYTES)
     if len(ks_seed) != SEED_BYTES:

@@ -129,8 +129,11 @@ def generate_latin(
 
     Construction: a seeded isotopy of the cyclic table (x + a) mod n —
     independent permutations of rows, columns, and symbols — optionally
-    followed by `walk_steps` Jacobson-Matthews moves to widen the sampled
-    class. Uniformity over all Latin squares is not claimed.
+    followed by `walk_steps` moves of the Jacobson-Matthews walk ("Generating
+    uniformly distributed random Latin squares", J. Combin. Des. 4(6), 1996)
+    to widen the sampled class. The walk runs on the symbol-width table
+    itself, so the whole construction needs O(n^2) memory. Uniformity over
+    all Latin squares is not claimed.
 
     `_perms` is a test hook overriding the three sampled permutations.
     """
@@ -138,6 +141,8 @@ def generate_latin(
         raise OrderTooSmall(f"order {order} < 2")
     if order > MAX_ORDER:
         raise DimensionMismatch(f"order {order} > {MAX_ORDER} unsupported")
+    if walk_steps < 0:
+        raise ValueError("walk steps must be >= 0")
     if _perms is None:
         rng = _seeded_rng(order, seed, b"lsq-isotopy")
         row_p = list(range(order))
@@ -150,70 +155,68 @@ def generate_latin(
         row_p, col_p, sym_p = (list(p) for p in _perms)
     rows = np.asarray(row_p, dtype=np.int64)
     cols = np.asarray(col_p, dtype=np.int64)
-    syms = np.asarray(sym_p, dtype=np.int64)
-    base = (rows[:, None] + cols[None, :]) % order
-    table = syms[base]
+    syms = np.asarray(sym_p, dtype=symbol_dtype(order))
+    table = syms[(rows[:, None] + cols[None, :]) % order]
     if walk_steps > 0:
-        walk_rng = _seeded_rng(order, seed, b"lsq-jm-walk")
-        table = _jacobson_matthews(table, walk_steps, walk_rng)
-    return LatinSquare(order, np.ascontiguousarray(table, dtype=symbol_dtype(order)))
+        _jacobson_matthews(table, walk_steps, _seeded_rng(order, seed, b"lsq-jm-walk"))
+    return LatinSquare(order, table)
 
 
-def _jacobson_matthews(square: np.ndarray, steps: int, rng: random.Random) -> np.ndarray:
-    """Jacobson-Matthews random walk on the 0/1 incidence cube.
+def _jacobson_matthews(table: np.ndarray, steps: int, rng: random.Random) -> None:
+    """Run `steps` Jacobson-Matthews moves on a Latin square, in place.
 
-    Runs `steps` moves and then keeps moving, if necessary, until the cube is
-    proper again (no -1 cell).
+    The walk (J. Combin. Des. 4(6), 1996) moves on the 0/1 incidence cube,
+    where one cell may be improper: it holds two symbols, minus a third.
+    `table` holds every proper cell, and the improper cell (r, c, s, t) holds
+    table[r, c] and t, minus s, so the walk needs O(n^2) memory. It keeps
+    moving past `steps` until the square is proper again. Candidates are
+    drawn in the cube's ascending index order, which keeps keys reproducible.
     """
-    n = square.shape[0]
-    f = np.zeros((n, n, n), dtype=np.int8)
-    for r in range(n):
-        for c in range(n):
-            f[r, c, square[r, c]] = 1
-    improper: tuple[int, int, int] | None = None
+    n = table.shape[0]
+    improper: tuple[int, int, int, int] | None = None
     done = 0
     while done < steps or improper is not None:
         if improper is None:
             r = rng.randrange(n)
             c = rng.randrange(n)
             s = rng.randrange(n)
-            while f[r, c, s] == 1:
+            while table[r, c] == s:
                 s = rng.randrange(n)
-            r2 = int(np.flatnonzero(f[:, c, s] == 1)[0])
-            c2 = int(np.flatnonzero(f[r, :, s] == 1)[0])
-            s2 = int(np.flatnonzero(f[r, c, :] == 1)[0])
+            r2 = int(np.argmax(table[:, c] == s))
+            c2 = int(np.argmax(table[r] == s))
+            s2 = int(table[r, c])
+            keep = s
         else:
-            r, c, s = improper
-            r2 = int(rng.choice(np.flatnonzero(f[:, c, s] == 1)))
-            c2 = int(rng.choice(np.flatnonzero(f[r, :, s] == 1)))
-            s2 = int(rng.choice(np.flatnonzero(f[r, c, :] == 1)))
-        f[r, c, s] += 1
-        f[r, c2, s2] += 1
-        f[r2, c, s2] += 1
-        f[r2, c2, s] += 1
-        f[r, c, s2] -= 1
-        f[r, c2, s] -= 1
-        f[r2, c, s] -= 1
-        f[r2, c2, s2] -= 1
-        improper = (r2, c2, s2) if f[r2, c2, s2] < 0 else None
+            # rows of column c and columns of row r that hold s come in pairs
+            r, c, s, t = improper
+            r2 = int(rng.choice(np.flatnonzero(table[:, c] == s)))
+            c2 = int(rng.choice(np.flatnonzero(table[r] == s)))
+            pair = sorted((int(table[r, c]), t))
+            s2 = rng.choice(pair)
+            keep = sum(pair) - s2
+        table[r, c] = keep
+        table[r, c2] = s2
+        table[r2, c] = s2
+        if table[r2, c2] == s2:
+            table[r2, c2] = s
+            improper = None
+        else:
+            improper = (r2, c2, s2, s)
         done += 1
-    return np.argmax(f, axis=2).astype(square.dtype)
 
 
 class Quasigroup:
     """A quasigroup (A, *) with x*y read from a Latin Cayley table.
 
     Left division reads the table's cached row inverse, the same array the
-    inverse key automaton runs on. Right division reads a column-inverse
-    table built on the first right_div call.
+    inverse key automaton runs on. Right division scans one column.
     """
 
-    __slots__ = ("order", "cayley", "_col_inv")
+    __slots__ = ("order", "cayley")
 
     def __init__(self, cayley: LatinSquare):
         self.order = cayley.order
         self.cayley = cayley
-        self._col_inv: np.ndarray | None = None
 
     def mul(self, x: int, y: int) -> int:
         """x * y"""
@@ -225,12 +228,7 @@ class Quasigroup:
 
     def right_div(self, c: int, a: int) -> int:
         """c / a: the unique b with b*a = c."""
-        if self._col_inv is None:
-            # the transpose of a Latin square is Latin; its row inverse gives
-            # _col_inv[a][c] = the unique b with b*a = c
-            transpose = LatinSquare(self.order, self.cayley.entries.T)
-            self._col_inv = transpose.row_inverse().entries
-        return int(self._col_inv[a, c])
+        return int(np.flatnonzero(self.cayley.entries[:, a] == c)[0])
 
     def left_inverse(self) -> "Quasigroup":
         """The quasigroup (A, \\) whose table is (a, c) -> a \\ c."""

@@ -205,9 +205,7 @@ class TestMessages:
         assert key.invert().delta.entries is q.cayley.row_inverse().entries
         assert s.inverse_key.delta.entries is q.cayley.row_inverse().entries
         assert q.left_inverse().cayley is key.invert().delta
-        assert q._col_inv is None
         q.right_div(0, 1)
-        assert q._col_inv is not None
 
     def test_bad_engine_name(self, key256):
         with pytest.raises(ValueError):

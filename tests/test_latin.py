@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lsqcipher.errors import (
 )
 from lsqcipher.latin import (
     Quasigroup,
+    _seeded_rng,
     fold_left_div,
     fold_mul,
     generate_latin,
@@ -49,6 +51,44 @@ def raised_violation(table):
     except ColViolation as e:
         return ColViolation, e.col, e.symbol
     return None
+
+
+def cube_walk(square, steps, rng):
+    """Reference Jacobson-Matthews walk on the n x n x n 0/1 incidence cube,
+    with the improper cell as its one -1 entry."""
+    n = square.shape[0]
+    f = np.zeros((n, n, n), dtype=np.int8)
+    for r in range(n):
+        for c in range(n):
+            f[r, c, square[r, c]] = 1
+    improper = None
+    done = 0
+    while done < steps or improper is not None:
+        if improper is None:
+            r = rng.randrange(n)
+            c = rng.randrange(n)
+            s = rng.randrange(n)
+            while f[r, c, s] == 1:
+                s = rng.randrange(n)
+            r2 = int(np.flatnonzero(f[:, c, s] == 1)[0])
+            c2 = int(np.flatnonzero(f[r, :, s] == 1)[0])
+            s2 = int(np.flatnonzero(f[r, c, :] == 1)[0])
+        else:
+            r, c, s = improper
+            r2 = int(rng.choice(np.flatnonzero(f[:, c, s] == 1)))
+            c2 = int(rng.choice(np.flatnonzero(f[r, :, s] == 1)))
+            s2 = int(rng.choice(np.flatnonzero(f[r, c, :] == 1)))
+        f[r, c, s] += 1
+        f[r, c2, s2] += 1
+        f[r2, c, s2] += 1
+        f[r2, c2, s] += 1
+        f[r, c, s2] -= 1
+        f[r, c2, s] -= 1
+        f[r2, c, s] -= 1
+        f[r2, c2, s2] -= 1
+        improper = (r2, c2, s2) if f[r2, c2, s2] < 0 else None
+        done += 1
+    return np.argmax(f, axis=2)
 
 
 class TestValidate:
@@ -190,6 +230,30 @@ class TestGenerate:
 
     def test_jm_walk_moves_somewhere(self):
         assert generate_latin(7, b"walk", walk_steps=100) != generate_latin(7, b"walk")
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_jm_walk_matches_cube_walk(self, n):
+        # reaches n = 2 and 3 and improper chains that the pinned cases miss
+        for seed in (b"a", b"b", b"c"):
+            start = generate_latin(n, seed).entries
+            for steps in (1, 2, 3, 10, 57, 300):
+                expect = cube_walk(start, steps, _seeded_rng(n, seed, b"lsq-jm-walk"))
+                got = generate_latin(n, seed, walk_steps=steps).entries
+                assert np.array_equal(got, expect), (seed, steps)
+
+    def test_jm_walk_memory_is_quadratic(self):
+        # an n^3 incidence cube alone would take 128 MiB at n = 512
+        tracemalloc.start()
+        try:
+            generate_latin(512, b"mem", walk_steps=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+
+    def test_negative_walk_steps_rejected(self):
+        with pytest.raises(ValueError, match="walk steps must be >= 0"):
+            generate_latin(7, b"walk", walk_steps=-1)
 
 
 class TestOperations:

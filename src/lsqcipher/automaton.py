@@ -77,12 +77,8 @@ class KeyAutomaton:
         return KeyAutomaton(self.order, self.delta.row_inverse())
 
     def quasigroup(self) -> Quasigroup:
-        """The quasigroup with x*y = delta(y, x); shares this table. Cached."""
-        cached = getattr(self, "_qg", None)
-        if cached is None:
-            cached = Quasigroup(self.delta)
-            object.__setattr__(self, "_qg", cached)
-        return cached
+        """The quasigroup with x*y = delta(y, x); a view of this table."""
+        return Quasigroup(self.delta)
 
 
 def reverse_run(a_inv: KeyAutomaton, b_n: int, w: Sequence[int]) -> int:

@@ -29,7 +29,8 @@ _CHUNK = 1 << 16
 
 
 class CipherSession:
-    """Single-message cipher state: key, row inverse and a keystream reader.
+    """Single-message cipher state: a key and a keystream reader. The first
+    decrypt call builds the key's row inverse, which the key's square caches.
 
     A session is sequential: its stream position advances with every symbol.
     Message-level calls claim the whole session for one message in one
@@ -46,7 +47,6 @@ class CipherSession:
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         self.key = key
-        self.inverse_key = key.invert()
         self.m = m
         self.spec = KeystreamSpec(seed=seed, nonce=nonce, m=m, order=key.order)
         self.stream = KeystreamReader(self.spec)
@@ -69,7 +69,7 @@ class CipherSession:
 
         `final` splits a message into parts as for encrypt_message.
         """
-        return self._message(ciphertext, self.inverse_key.delta.entries, True, final)
+        return self._message(ciphertext, self.key.invert().delta.entries, True, final)
 
     def _message(self, seq, table: np.ndarray, reverse: bool, final: bool) -> np.ndarray:
         if self._done or self._open not in (None, reverse):

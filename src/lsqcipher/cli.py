@@ -197,7 +197,8 @@ def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
-            kf = read_key(head + fh.read())
+            fh.seek(0)
+            kf = read_key(fh.read())
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")

@@ -117,26 +117,28 @@ def write_key(kf: KeyFile) -> bytes:
 
 
 def read_key(data: bytes) -> KeyFile:
-    if len(data) < len(KEY_MAGIC):
+    """Parse and certify a key file. Its checksum, seed and table are read
+    through one memoryview of `data`, so no slice of the key body is copied."""
+    view = memoryview(data)
+    if len(view) < len(KEY_MAGIC):
         raise TruncatedFile("key file shorter than magic")
-    if data[:len(KEY_MAGIC)] != KEY_MAGIC:
+    if view[:len(KEY_MAGIC)] != KEY_MAGIC:
         raise BadMagic("not a key file")
     header_len = len(KEY_MAGIC) + 4
-    if len(data) < header_len:
+    if len(view) < header_len:
         raise TruncatedFile("key file truncated in header")
-    (order,) = struct.unpack(">I", data[len(KEY_MAGIC):header_len])
+    (order,) = struct.unpack_from(">I", view, len(KEY_MAGIC))
     width = symbol_dtype(order).itemsize
     total = header_len + SEED_BYTES + order * order * width + 4
-    if len(data) < total:
-        raise TruncatedFile(f"key file needs {total} bytes, got {len(data)}")
-    if len(data) > total:
-        raise LengthMismatch(f"key file has {len(data) - total} trailing bytes")
-    (crc,) = struct.unpack(">I", data[total - 4:total])
-    if crc != zlib.crc32(data[:total - 4]):
+    if len(view) < total:
+        raise TruncatedFile(f"key file needs {total} bytes, got {len(view)}")
+    if len(view) > total:
+        raise LengthMismatch(f"key file has {len(view) - total} trailing bytes")
+    (crc,) = struct.unpack_from(">I", view, total - 4)
+    if crc != zlib.crc32(view[:total - 4]):
         raise BadChecksum("key file checksum mismatch")
-    seed = data[header_len:header_len + SEED_BYTES]
-    table_bytes = data[header_len + SEED_BYTES:total - 4]
-    table = np.frombuffer(table_bytes, dtype=symbol_wire_dtype(order))
+    seed = bytes(view[header_len:header_len + SEED_BYTES])
+    table = np.frombuffer(view[header_len + SEED_BYTES:total - 4], dtype=symbol_wire_dtype(order))
     try:
         # looked up on the module, so a wrapper patched onto it sees key loads
         square = latin.validate_latin(table.reshape(order, order))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ColViolation,
@@ -63,15 +64,12 @@ class LatinSquare:
         a Cayley table it is left division. It is Latin by construction, so
         it is not re-validated. Built on first use and cached.
         """
-        cached = self.__dict__.get("_row_inverse")
-        if cached is not None:
-            return cached
-        n = self.order
-        inv = np.empty((n, n), dtype=self.entries.dtype)
-        inv[np.arange(n)[:, None], self.entries] = np.arange(n)
-        cached = LatinSquare(n, inv)
-        object.__setattr__(self, "_row_inverse", cached)
-        return cached
+        if "_row_inverse" not in self.__dict__:
+            n = self.order
+            inv = np.empty((n, n), dtype=self.entries.dtype)
+            inv[np.arange(n)[:, None], self.entries] = np.arange(n)
+            object.__setattr__(self, "_row_inverse", LatinSquare(n, inv))
+        return self.__dict__["_row_inverse"]
 
 
 def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
@@ -131,8 +129,9 @@ def generate_latin(
     independent permutations of rows, columns, and symbols — optionally
     followed by `walk_steps` moves of the Jacobson-Matthews walk ("Generating
     uniformly distributed random Latin squares", J. Combin. Des. 4(6), 1996)
-    to widen the sampled class. The walk runs on the symbol-width table
-    itself, so the whole construction needs O(n^2) memory. Uniformity over
+    to widen the sampled class. The isotope is one gather from a sliding
+    window over the doubled symbol permutation, and the walk runs on it in
+    place, so the construction's peak memory is the table. Uniformity over
     all Latin squares is not claimed.
 
     `_perms` is a test hook overriding the three sampled permutations.
@@ -153,10 +152,9 @@ def generate_latin(
         rng.shuffle(sym_p)
     else:
         row_p, col_p, sym_p = (list(p) for p in _perms)
-    rows = np.asarray(row_p, dtype=np.int64)
-    cols = np.asarray(col_p, dtype=np.int64)
-    syms = np.asarray(sym_p, dtype=symbol_dtype(order))
-    table = syms[(rows[:, None] + cols[None, :]) % order]
+    # window[r, c] = sym_p[(r + c) % order], a view of the doubled permutation
+    window = sliding_window_view(np.asarray(sym_p + sym_p, dtype=symbol_dtype(order)), order)
+    table = window[np.ix_(row_p, col_p)]
     if walk_steps > 0:
         _jacobson_matthews(table, walk_steps, _seeded_rng(order, seed, b"lsq-jm-walk"))
     return LatinSquare(order, table)

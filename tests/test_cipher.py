@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsqcipher import cipher
 from lsqcipher.cipher import CipherSession
 from lsqcipher.errors import NonceReuse
 from lsqcipher.keystream import KeystreamReader, KeystreamSpec
@@ -197,13 +198,21 @@ class TestMessages:
         with pytest.raises(ValueError, match="integers"):
             session(key256).decrypt_message(message)
 
-    def test_one_inverse_table_per_key(self, rng):
+    def test_one_inverse_table_per_key(self, rng, monkeypatch):
         key = random_automaton(20)
         s = session(key, engine="qg")
         s.encrypt_message(rng.integers(0, 20, 50))
         q = key.quasigroup()
         assert key.invert().delta.entries is q.cayley.row_inverse().entries
-        assert s.inverse_key.delta.entries is q.cayley.row_inverse().entries
+        tables = []
+        chain = cipher._chain
+
+        def spy(table, *args):
+            tables.append(table)
+            return chain(table, *args)
+        monkeypatch.setattr(cipher, "_chain", spy)
+        session(key).decrypt_message(rng.integers(0, 20, 50))
+        assert len(tables) == 1 and tables[0] is q.cayley.row_inverse().entries
         assert q.left_inverse().cayley is key.invert().delta
         q.right_div(0, 1)
 

@@ -25,6 +25,7 @@ from lsqcipher.codec import (
     read_key,
     write_container,
 )
+from lsqcipher.latin import LatinSquare
 
 FORCED_NONCE = "0102030405060708090a0b0c"
 MIB = 1 << 20
@@ -235,6 +236,16 @@ class TestStreamingInput:
             src.unlink()
             ct.unlink()
         assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
+
+
+def test_encrypt_builds_no_inverse(tmp_path, keyfile, monkeypatch):
+    def row_inverse(self):
+        raise AssertionError("encrypt built a row inverse")
+    monkeypatch.setattr(LatinSquare, "row_inverse", row_inverse)
+    src = tmp_path / "plain"
+    src.write_bytes(os.urandom(1000))
+    assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                 "--out", str(tmp_path / "ct")]) == 0
 
 
 class TestInspect:

@@ -1,5 +1,6 @@
 import functools
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -67,6 +68,18 @@ class TestKeyGolden:
     def test_roundtrip_reserializes_identically(self):
         blob = write_key(z3_keyfile())
         assert write_key(read_key(blob)) == blob
+
+    def test_load_copies_no_slice_of_the_key(self):
+        # the square's copy of the table and validation's line masks; slices
+        # of the key body for the CRC and the table would add 2x
+        blob = write_key(KeyFile(key=random_automaton(1000), seed=SEED))
+        tracemalloc.start()
+        try:
+            read_key(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(blob)
 
 
 class TestKeyCorruption:

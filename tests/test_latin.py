@@ -251,6 +251,16 @@ class TestGenerate:
             tracemalloc.stop()
         assert peak <= 16 << 20
 
+    def test_isotopy_peak_memory_is_the_table(self):
+        # two n^2 int64 index arrays (r + c and its % n) would peak at 8x
+        tracemalloc.start()
+        try:
+            sq = generate_latin(1024, b"mem")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sq.entries.nbytes
+
     def test_negative_walk_steps_rejected(self):
         with pytest.raises(ValueError, match="walk steps must be >= 0"):
             generate_latin(7, b"walk", walk_steps=-1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyInput
+from .errors import DimensionMismatch, EmptyInput
 from .latin import LatinSquare, Quasigroup, validate_latin
 
 
@@ -33,6 +33,10 @@ class KeyAutomaton:
 
     order: int
     delta: LatinSquare
+
+    def __post_init__(self):
+        if self.order != self.delta.order:
+            raise DimensionMismatch(f"order {self.order} != table order {self.delta.order}")
 
     @classmethod
     def from_table(cls, table) -> "KeyAutomaton":

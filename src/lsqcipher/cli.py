@@ -3,8 +3,8 @@
 `encrypt` and `decrypt` stream: each reads its input in IO_CHUNK parts
 through one multi-part message of a CipherSession, so their memory does not
 grow with the file. The input must be a regular file, whose size fixes the
-container header before any output is written, and must not be the output
-file itself.
+container header before any output is written, and the output must be
+neither the input nor the key file.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -58,12 +58,13 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _open_input(path: str, out: str):
-    """Open the input of a streaming run that writes `out`.
+def _open_input(path: str, out: str, key: str):
+    """Open the input of a streaming run that reads `key` and writes `out`.
 
     The input must be a regular file, so that its size is known before any
-    output is written, and must not be `out`, which opening for writing
-    would truncate before it is read. Both are usage errors.
+    output is written. `out` must be neither the input, which opening for
+    writing would truncate before it is read, nor the key file, which it
+    would overwrite. All three are usage errors.
     """
     st = os.stat(path)
     if not stat.S_ISREG(st.st_mode):
@@ -73,8 +74,9 @@ def _open_input(path: str, out: str):
     except FileNotFoundError:
         pass
     else:
-        if (dst.st_dev, dst.st_ino) == (st.st_dev, st.st_ino):
-            raise ValueError(f"input and output are the same file: {path}")
+        for name, other in (("input", st), ("key", os.stat(key))):
+            if (dst.st_dev, dst.st_ino) == (other.st_dev, other.st_ino):
+                raise ValueError(f"output is the {name} file: {out}")
     return open(path, "rb")
 
 
@@ -159,7 +161,7 @@ def cmd_encrypt(args) -> int:
         return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
     if not 1 <= args.block <= 255:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
-    with _open_input(getattr(args, "in"), args.out) as src:
+    with _open_input(getattr(args, "in"), args.out, args.key) as src:
         size = os.fstat(src.fileno()).st_size
         nonce = _fresh_nonce()
         header = ContainerHeader(order=256, m=args.block, nonce=nonce, count=size).pack()
@@ -175,7 +177,7 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     kf = _load_key(args.key)
-    with _open_input(getattr(args, "in"), args.out) as src:
+    with _open_input(getattr(args, "in"), args.out, args.key) as src:
         header = read_container_header(src.read(HEADER_BYTES), os.fstat(src.fileno()).st_size)
         if header.order != kf.order:
             return _fail(EXIT_FORMAT, f"container order {header.order} != key order {kf.order}")

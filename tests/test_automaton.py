@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsqcipher.automaton import KeyAutomaton, reverse_run
-from lsqcipher.errors import EmptyInput
+from lsqcipher.errors import DimensionMismatch, EmptyInput
 from lsqcipher.latin import fold_mul, generate_latin, validate_latin
 
 from conftest import all_words, cyclic_automaton, random_automaton
@@ -54,6 +54,14 @@ class TestRun:
             w = rng.integers(0, 7, rng.integers(1, 10)).tolist()
             a = int(rng.integers(0, 7))
             assert aut.last_state(a, w) == fold_mul(q, w, a)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_order_must_match_table(self, order):
+        # order 2 would emit symbol 2; order 5 would index past the table
+        with pytest.raises(DimensionMismatch):
+            KeyAutomaton(order, generate_latin(3, b"x"))
 
 
 class TestInvert:

@@ -139,6 +139,35 @@ class TestEncryptDecrypt:
                      str(tmp_path / "trunc"), "--out",
                      str(tmp_path / "x")]) == EXIT_FORMAT
 
+    @pytest.mark.parametrize("m", ["0", "256"])
+    def test_block_length_out_of_range(self, tmp_path, keyfile, m):
+        src, out = tmp_path / "p", tmp_path / "ct"
+        src.write_bytes(b"x")
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                     "--out", str(out), "-m", m]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_encrypt_needs_order_256_key(self, tmp_path):
+        key, src, out = tmp_path / "k16", tmp_path / "p", tmp_path / "ct"
+        assert main(["keygen", "-n", "16", "--out", str(key)]) == 0
+        src.write_bytes(b"x")
+        assert main(["encrypt", "--key", str(key), "--in", str(src),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key_order, ct_order, code",
+                             [(16, 16, EXIT_USAGE), (256, 300, EXIT_FORMAT)])
+    def test_decrypt_order_checks(self, tmp_path, key_order, ct_order, code):
+        key, ct, out = tmp_path / "k", tmp_path / "ct", tmp_path / "out"
+        assert main(["keygen", "-n", str(key_order), "--out", str(key)]) == 0
+        dtype = np.uint8 if ct_order <= 256 else np.uint16
+        ct.write_bytes(write_container(CipherContainer(
+            order=ct_order, m=1, nonce=bytes(12), payload=np.arange(5, dtype=dtype),
+            plaintext_crc=0)))
+        assert main(["decrypt", "--key", str(key), "--in", str(ct),
+                     "--out", str(out)]) == code
+        assert not out.exists()
+
     def test_corrupt_key_is_format_error(self, tmp_path, keyfile):
         blob = bytearray(keyfile.read_bytes())
         blob[100] ^= 0xFF
@@ -177,6 +206,23 @@ class TestStreamingInput:
         os.link(src, link)
         assert self.encrypt(keyfile, src, link) == EXIT_USAGE
         assert src.read_bytes() == b"abc"
+
+    def test_encrypt_over_key_refused(self, tmp_path, keyfile):
+        src = tmp_path / "plain"
+        src.write_bytes(b"abc")
+        blob = keyfile.read_bytes()
+        assert self.encrypt(keyfile, src, keyfile) == EXIT_USAGE
+        assert keyfile.read_bytes() == blob
+
+    def test_decrypt_over_key_through_symlink_refused(self, tmp_path, keyfile):
+        src, ct, link = tmp_path / "plain", tmp_path / "ct", tmp_path / "link"
+        src.write_bytes(b"abc")
+        assert self.encrypt(keyfile, src, ct) == 0
+        link.symlink_to(keyfile)
+        blob = keyfile.read_bytes()
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(ct),
+                     "--out", str(link)]) == EXIT_USAGE
+        assert keyfile.read_bytes() == blob
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_input_refused_before_output_opens(self, tmp_path, keyfile):

@@ -96,9 +96,11 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
     if arr.min() < 0 or arr.max() >= n:
         raise DimensionMismatch(f"entries must lie in [0, {n})")
     entries = arr.astype(symbol_dtype(n), order="C")
+    # one mask for both passes: n symbols in [0, n) fill a line's n slots
+    # only if none repeats
+    seen = np.empty((n, n), dtype=bool)
     for lines, violation in ((entries, RowViolation), (entries.T, ColViolation)):
-        # n symbols in [0, n) fill a line's n slots only if none repeats
-        seen = np.zeros((n, n), dtype=bool)
+        seen.fill(False)
         seen[np.arange(n)[:, None], lines] = True
         complete = seen.all(axis=1)
         if not complete.all():

@@ -70,7 +70,7 @@ class TestKeyGolden:
         assert write_key(read_key(blob)) == blob
 
     def test_load_copies_no_slice_of_the_key(self):
-        # the square's copy of the table and validation's line masks; slices
+        # the square's copy of the table and validation's line mask; slices
         # of the key body for the CRC and the table would add 2x
         blob = write_key(KeyFile(key=random_automaton(1000), seed=SEED))
         tracemalloc.start()

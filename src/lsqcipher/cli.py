@@ -199,8 +199,11 @@ def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
-            fh.seek(0)
-            kf = read_key(fh.read())
+            if fh.seekable():
+                fh.seek(0)
+                kf = read_key(fh.read())
+            else:  # a pipe cannot seek back to the head it has read
+                kf = read_key(head + fh.read())
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")

@@ -64,12 +64,15 @@ class LatinSquare:
         a Cayley table it is left division. It is Latin by construction, so
         it is not re-validated. Built on first use and cached.
         """
-        if "_row_inverse" not in self.__dict__:
-            n = self.order
-            inv = np.empty((n, n), dtype=self.entries.dtype)
-            inv[np.arange(n)[:, None], self.entries] = np.arange(n)
-            object.__setattr__(self, "_row_inverse", LatinSquare(n, inv))
-        return self.__dict__["_row_inverse"]
+        cached = self.__dict__.get("_row_inverse")
+        if cached is not None:
+            return cached
+        n = self.order
+        inv = np.empty((n, n), dtype=self.entries.dtype)
+        inv[np.arange(n)[:, None], self.entries] = np.arange(n)
+        cached = LatinSquare(n, inv)
+        object.__setattr__(self, "_row_inverse", cached)
+        return cached
 
 
 def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -301,6 +302,19 @@ class TestInspect:
         assert "key file" in out
         assert "order: 256" in out
         assert "latin: valid" in out
+
+    def test_key_through_pipe(self, tmp_path, keyfile, capsys):
+        # a FIFO cannot seek back to the header inspect has already read
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(keyfile.read_bytes(),))
+        writer.start()
+        try:
+            assert main(["inspect", str(fifo)]) == 0
+        finally:
+            writer.join()
+        out = capsys.readouterr().out
+        assert "key file" in out and "order: 256" in out
 
     def test_container_report(self, tmp_path, keyfile, forced_nonce, capsys):
         src = tmp_path / "p"

@@ -33,6 +33,8 @@ from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
+# magic, order, keystream seed; the table and a CRC-32 of all before it follow
+_KEY_HEADER = struct.Struct(f">{len(KEY_MAGIC)}sI{SEED_BYTES}s")
 CONTAINER_MAGIC = b"LSQCT\x00\x00\x01"
 CONTAINER_VERSION = 1
 # magic, version, order, m, nonce, payload symbol count
@@ -106,14 +108,21 @@ def _symbols_from(data: bytes, order: int) -> np.ndarray:
     return wire.astype(symbol_dtype(order), copy=False)
 
 
-def write_key(kf: KeyFile) -> bytes:
-    body = (
-        KEY_MAGIC
-        + struct.pack(">I", kf.order)
-        + kf.seed
-        + _symbol_bytes(kf.key.delta.entries.reshape(-1), kf.order)
-    )
-    return body + struct.pack(">I", zlib.crc32(body))
+def write_key(kf: KeyFile) -> bytearray:
+    """Serialize a key file into one buffer, with no copy of the table
+    beside it: the header, the seed and the wire-order table are written
+    into the buffer, and the CRC into its last 4 bytes."""
+    if len(kf.seed) != SEED_BYTES:
+        raise LengthMismatch(f"seed must be {SEED_BYTES} bytes")
+    order = kf.order
+    wire = symbol_wire_dtype(order)
+    body = _KEY_HEADER.size + order * order * wire.itemsize
+    buf = bytearray(body + 4)
+    _KEY_HEADER.pack_into(buf, 0, KEY_MAGIC, order, kf.seed)
+    table = np.frombuffer(buf, dtype=wire, count=order * order, offset=_KEY_HEADER.size)
+    np.copyto(table.reshape(order, order), kf.key.delta.entries)
+    struct.pack_into(">I", buf, body, zlib.crc32(memoryview(buf)[:body]))
+    return buf
 
 
 def read_key(data: bytes) -> KeyFile:

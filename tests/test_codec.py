@@ -81,6 +81,23 @@ class TestKeyGolden:
             tracemalloc.stop()
         assert peak <= 2.2 * len(blob)
 
+    def test_write_builds_only_the_key_file(self):
+        # one buffer for the whole file: no wire-order copy of the table and
+        # no concatenation beside it, so keygen peaks at about 2x the table
+        kf = KeyFile(key=random_automaton(1024), seed=SEED)
+        tracemalloc.start()
+        try:
+            blob = write_key(kf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(blob)
+        assert read_key(blob).key.delta == kf.key.delta
+
+    def test_write_rejects_short_seed(self):
+        with pytest.raises(LengthMismatch):
+            write_key(KeyFile(key=cyclic_automaton(3), seed=SEED[:-1]))
+
 
 class TestKeyCorruption:
     def test_bad_magic(self):

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from lsqcipher.errors import InvalidSpec, StreamExhausted
 from lsqcipher.keystream import (
+    _ZEROS,
     BYTE_CAP,
     KeystreamReader,
     KeystreamSpec,
@@ -113,6 +115,37 @@ class TestSymbolExtraction:
         assert np.all(np.abs(freq - count * p) < 5 * sigma)
 
 
+class TestRejectionOracle:
+    """`take` against a scalar re-implementation of the rejection rule, at
+    every word width, over reads that cross the reader's 1 MiB ChaCha20
+    slices."""
+
+    @pytest.mark.parametrize("order", [3, 200, 255, 300, 1000, 40000, 65535])
+    def test_take_bytes_read_and_rejected_match_oracle(self, order):
+        width = 1 if order <= 256 else 2
+        space = 1 << (8 * width)
+        limit = space - space % order  # at order 65535 only the word 65535 is rejected
+        count = len(_ZEROS) // width + 1000  # the first pass alone crosses a slice
+        chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
+        raw = Cipher(chacha, mode=None).encryptor().update(bytes(2 * count * width))
+        words = [w for (w,) in struct.iter_unpack(">B" if width == 1 else ">H", raw)]
+        accepted = [i for i, w in enumerate(words) if w < limit][:count]
+        expected = [words[i] % order for i in accepted]
+        used = accepted[-1] + 1
+
+        reader = KeystreamReader(spec(order=order))
+        got = reader.take(count)
+        assert got.tolist() == expected
+        assert reader.bytes_read == used * width
+        assert reader.rejected == sum(w >= limit for w in words[:used])
+
+    @pytest.mark.parametrize("order", [16, 256, 65536])
+    def test_power_of_two_rejects_nothing(self, order):
+        reader = KeystreamReader(spec(order=order))
+        reader.take(10_000)
+        assert reader.rejected == 0
+
+
 class TestExactReads:
     @pytest.mark.parametrize("order, width", [(200, 1), (256, 1), (300, 2)])
     def test_bytes_read_ends_at_last_accepted_word(self, order, width):
@@ -156,3 +189,17 @@ class TestCopyFree:
         raw = Cipher(chacha, mode=None).encryptor().update(bytes(got.nbytes))
         words = np.frombuffer(raw, dtype=">u2" if order > 256 else np.uint8)
         assert np.array_equal(got, words & (order - 1))
+
+    @pytest.mark.parametrize("order, bound", [(1000, 2.6), (200, 2.9)])
+    def test_rejection_read_peak_is_bounded(self, order, bound):
+        # the words, the acceptance mask and the accepted words, plus the
+        # concatenate of a second pass; the remainder's quotient reuses the
+        # words' array, so it adds no message-sized temporary
+        reader = KeystreamReader(spec(order=order))
+        tracemalloc.start()
+        try:
+            got = reader.take(1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * got.nbytes

@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .automaton import KeyAutomaton
-from .cipher import CipherSession
+from .cipher import ENGINES, CipherSession
 from .classical import UNKNOWN, LeaderCipher, attack_decrypt, known_plaintext_learn
 # read_container and write_container are unused here, but perfbench's tracer
 # patches both in this module's namespace, as it does read_key and zlib.
@@ -80,6 +80,21 @@ def _open_input(path: str, out: str, key: str):
     return open(path, "rb")
 
 
+def _parts(src, count: int, dtype):
+    """Read the next `count` items of `dtype` from `src` in parts of at most
+    IO_CHUNK bytes, all in one buffer: each part is overwritten by the next.
+
+    Raises OSError if `src` ends early.
+    """
+    buf = np.empty(min(count, IO_CHUNK // np.dtype(dtype).itemsize), dtype=dtype)
+    while count:
+        part = buf[:min(count, len(buf))]
+        if src.readinto(part) != part.nbytes:
+            raise OSError("input shrank while it was read")
+        count -= len(part)
+        yield part
+
+
 def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     """Run the next `count` bytes of `src` through the session method
     `message` into `dst`, one IO_CHUNK part at a time.
@@ -87,18 +102,13 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     Returns the CRC-32 of the plaintext side: the input when `plain_in`,
     else the output. Raises OSError if `src` ends early.
     """
-    buf = np.empty(min(count, IO_CHUNK), dtype=np.uint8)
     crc = 0
-    while True:
-        part = buf[:min(count, IO_CHUNK)]
-        if src.readinto(part) != len(part):
-            raise OSError("input shrank while it was read")
+    for part in _parts(src, count, np.uint8):
         count -= len(part)
         out = message(part, final=not count)
         dst.write(out)
         crc = zlib.crc32(part if plain_in else out, crc)
-        if not count:
-            return crc
+    return crc
 
 
 def _check_payload(src, header: ContainerHeader):
@@ -108,13 +118,7 @@ def _check_payload(src, header: ContainerHeader):
     wire = symbol_wire_dtype(header.order)
     if np.iinfo(wire).max < header.order:
         return
-    buf = np.empty(IO_CHUNK // wire.itemsize, dtype=wire)
-    left = header.count
-    while left:
-        part = buf[:min(left, len(buf))]
-        if src.readinto(part) != part.nbytes:
-            raise OSError("input shrank while it was read")
-        left -= len(part)
+    for part in _parts(src, header.count, wire):
         if part.max() >= header.order:
             raise OutOfRange(f"payload symbol {part.max()} >= order {header.order}")
 
@@ -130,6 +134,11 @@ def _read_to_end(src, n: int) -> bytes:
 def _load_key(path: str) -> KeyFile:
     with open(path, "rb") as fh:
         return read_key(fh.read())
+
+
+def _require_byte_key(kf: KeyFile):
+    if kf.order != 256:
+        raise ValueError("encrypt/decrypt operate on byte files and need an order-256 key")
 
 
 def _fresh_nonce() -> bytes:
@@ -157,8 +166,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     kf = _load_key(args.key)
-    if kf.order != 256:
-        return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
+    _require_byte_key(kf)
     if not 1 <= args.block <= 255:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
     with _open_input(getattr(args, "in"), args.out, args.key) as src:
@@ -181,8 +189,7 @@ def cmd_decrypt(args) -> int:
         header = read_container_header(src.read(HEADER_BYTES), os.fstat(src.fileno()).st_size)
         if header.order != kf.order:
             return _fail(EXIT_FORMAT, f"container order {header.order} != key order {kf.order}")
-        if kf.order != 256:
-            return _fail(EXIT_USAGE, "encrypt/decrypt operate on byte files and need an order-256 key")
+        _require_byte_key(kf)
         session = CipherSession(kf.key, kf.seed, header.nonce, header.m, engine=args.engine)
         with open(args.out, "wb") as dst:
             crc = _stream(src, dst, header.count, session.decrypt_message, plain_in=False)
@@ -199,11 +206,7 @@ def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
-            if fh.seekable():
-                fh.seek(0)
-                kf = read_key(fh.read())
-            else:  # a pipe cannot seek back to the head it has read
-                kf = read_key(head + fh.read())
+            kf = read_key(head + fh.read())
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")
@@ -284,19 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("encrypt", help="encrypt a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
+    # the flags encrypt and decrypt share
+    streaming = argparse.ArgumentParser(add_help=False)
+    streaming.add_argument("--key", required=True)
+    streaming.add_argument("--in", required=True)
+    streaming.add_argument("--out", required=True)
+    streaming.add_argument("--engine", choices=ENGINES, default="fa")
+
+    p = sub.add_parser("encrypt", help="encrypt a file", parents=[streaming])
     p.add_argument("-m", "--block", type=int, default=4)
-    p.add_argument("--engine", choices=("fa", "qg"), default="fa")
     p.set_defaults(func=cmd_encrypt)
 
-    p = sub.add_parser("decrypt", help="decrypt a container")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--engine", choices=("fa", "qg"), default="fa")
+    p = sub.add_parser("decrypt", help="decrypt a container", parents=[streaming])
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("inspect", help="describe a key file or container")

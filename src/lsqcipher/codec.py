@@ -40,7 +40,8 @@ CONTAINER_VERSION = 1
 # magic, version, order, m, nonce, payload symbol count
 _HEADER = struct.Struct(f">{len(CONTAINER_MAGIC)}sBIB{NONCE_BYTES}sQ")
 HEADER_BYTES = _HEADER.size
-# the diagnostic plaintext CRC-32 that ends a container
+# the CRC-32 that ends a key file (over all before it) and a container (the
+# diagnostic plaintext CRC)
 CRC_TRAILER = struct.Struct(">I")
 
 
@@ -99,15 +100,6 @@ class ContainerHeader:
                             self.nonce, self.count)
 
 
-def _symbol_bytes(symbols: np.ndarray, order: int) -> bytes:
-    return symbols.astype(symbol_wire_dtype(order), copy=False).tobytes()
-
-
-def _symbols_from(data: bytes, order: int) -> np.ndarray:
-    wire = np.frombuffer(data, dtype=symbol_wire_dtype(order))
-    return wire.astype(symbol_dtype(order), copy=False)
-
-
 def write_key(kf: KeyFile) -> bytearray:
     """Serialize a key file into one buffer, with no copy of the table
     beside it: the header, the seed and the wire-order table are written
@@ -117,11 +109,11 @@ def write_key(kf: KeyFile) -> bytearray:
     order = kf.order
     wire = symbol_wire_dtype(order)
     body = _KEY_HEADER.size + order * order * wire.itemsize
-    buf = bytearray(body + 4)
+    buf = bytearray(body + CRC_TRAILER.size)
     _KEY_HEADER.pack_into(buf, 0, KEY_MAGIC, order, kf.seed)
     table = np.frombuffer(buf, dtype=wire, count=order * order, offset=_KEY_HEADER.size)
     np.copyto(table.reshape(order, order), kf.key.delta.entries)
-    struct.pack_into(">I", buf, body, zlib.crc32(memoryview(buf)[:body]))
+    CRC_TRAILER.pack_into(buf, body, zlib.crc32(memoryview(buf)[:body]))
     return buf
 
 
@@ -133,21 +125,19 @@ def read_key(data: bytes) -> KeyFile:
         raise TruncatedFile("key file shorter than magic")
     if view[:len(KEY_MAGIC)] != KEY_MAGIC:
         raise BadMagic("not a key file")
-    header_len = len(KEY_MAGIC) + 4
-    if len(view) < header_len:
+    if len(view) < _KEY_HEADER.size:
         raise TruncatedFile("key file truncated in header")
-    (order,) = struct.unpack_from(">I", view, len(KEY_MAGIC))
-    width = symbol_dtype(order).itemsize
-    total = header_len + SEED_BYTES + order * order * width + 4
+    _, order, seed = _KEY_HEADER.unpack_from(view)
+    end = _KEY_HEADER.size + order * order * symbol_dtype(order).itemsize
+    total = end + CRC_TRAILER.size
     if len(view) < total:
         raise TruncatedFile(f"key file needs {total} bytes, got {len(view)}")
     if len(view) > total:
         raise LengthMismatch(f"key file has {len(view) - total} trailing bytes")
-    (crc,) = struct.unpack_from(">I", view, total - 4)
-    if crc != zlib.crc32(view[:total - 4]):
+    (crc,) = CRC_TRAILER.unpack_from(view, end)
+    if crc != zlib.crc32(view[:end]):
         raise BadChecksum("key file checksum mismatch")
-    seed = bytes(view[header_len:header_len + SEED_BYTES])
-    table = np.frombuffer(view[header_len + SEED_BYTES:total - 4], dtype=symbol_wire_dtype(order))
+    table = np.frombuffer(view[_KEY_HEADER.size:end], dtype=symbol_wire_dtype(order))
     try:
         # looked up on the module, so a wrapper patched onto it sees key loads
         square = latin.validate_latin(table.reshape(order, order))
@@ -158,8 +148,8 @@ def read_key(data: bytes) -> KeyFile:
 
 def write_container(ct: CipherContainer) -> bytes:
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
-    return (header.pack() + _symbol_bytes(ct.payload, ct.order)
-            + CRC_TRAILER.pack(ct.plaintext_crc))
+    wire = ct.payload.astype(symbol_wire_dtype(ct.order), copy=False)
+    return header.pack() + wire.tobytes() + CRC_TRAILER.pack(ct.plaintext_crc)
 
 
 def read_container_header(data: bytes, size: int) -> ContainerHeader:
@@ -193,7 +183,8 @@ def read_container_header(data: bytes, size: int) -> ContainerHeader:
 def read_container(data: bytes) -> CipherContainer:
     header = read_container_header(data, len(data))
     end = header.size - CRC_TRAILER.size
-    payload = _symbols_from(memoryview(data)[HEADER_BYTES:end], header.order)
+    wire = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
+    payload = wire.astype(symbol_dtype(header.order), copy=False)
     if payload.size and payload.max() >= header.order:
         raise OutOfRange(f"payload symbol {payload.max()} >= order {header.order}")
     (crc,) = CRC_TRAILER.unpack_from(data, end)

@@ -4,7 +4,11 @@
 through one multi-part message of a CipherSession, so their memory does not
 grow with the file. The input must be a regular file, whose size fixes the
 container header before any output is written, and the output must be
-neither the input nor the key file.
+neither the input nor the key file. A run that needs more keystream than
+one nonce covers is refused before the output is opened.
+
+`inspect` reads a key whole, from a file or a pipe, and a container in
+parts; a container must be a regular file, whose size frames it.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -20,6 +24,7 @@ import zlib
 
 import numpy as np
 
+from . import keystream
 from .automaton import KeyAutomaton
 from .cipher import ENGINES, CipherSession
 from .classical import UNKNOWN, LeaderCipher, attack_decrypt, known_plaintext_learn
@@ -32,13 +37,14 @@ from .codec import (
     KEY_MAGIC,
     ContainerHeader,
     KeyFile,
+    check_symbols,
     read_container,
     read_container_header,
     read_key,
     write_container,
     write_key,
 )
-from .errors import CodecError, InconsistentPairs, LsqError, OutOfRange
+from .errors import CodecError, InconsistentPairs, LsqError
 from .keystream import NONCE_BYTES, SEED_BYTES
 from .latin import Quasigroup, generate_latin, symbol_wire_dtype
 
@@ -119,8 +125,7 @@ def _check_payload(src, header: ContainerHeader):
     if np.iinfo(wire).max < header.order:
         return
     for part in _parts(src, header.count, wire):
-        if part.max() >= header.order:
-            raise OutOfRange(f"payload symbol {part.max()} >= order {header.order}")
+        check_symbols(part, header.order)
 
 
 def _read_to_end(src, n: int) -> bytes:
@@ -171,6 +176,11 @@ def cmd_encrypt(args) -> int:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
     with _open_input(getattr(args, "in"), args.out, args.key) as src:
         size = os.fstat(src.fileno()).st_size
+        # At order 256 each symbol draws one ChaCha20 byte and none is
+        # rejected, so size * m is exactly the keystream of this one nonce.
+        if size * args.block > keystream.BYTE_CAP:
+            return _fail(EXIT_USAGE, f"{size} bytes at m={args.block} need more keystream "
+                                     f"than one nonce covers ({keystream.BYTE_CAP} bytes)")
         nonce = _fresh_nonce()
         header = ContainerHeader(order=256, m=args.block, nonce=nonce, count=size).pack()
         session = CipherSession(kf.key, kf.seed, nonce, args.block, engine=args.engine)
@@ -190,6 +200,9 @@ def cmd_decrypt(args) -> int:
         if header.order != kf.order:
             return _fail(EXIT_FORMAT, f"container order {header.order} != key order {kf.order}")
         _require_byte_key(kf)
+        if header.count * header.m > keystream.BYTE_CAP:  # exact, as in encrypt
+            return _fail(EXIT_FORMAT, f"container needs more keystream than one nonce "
+                                      f"covers ({keystream.BYTE_CAP} bytes)")
         session = CipherSession(kf.key, kf.seed, header.nonce, header.m, engine=args.engine)
         with open(args.out, "wb") as dst:
             crc = _stream(src, dst, header.count, session.decrypt_message, plain_in=False)
@@ -212,7 +225,10 @@ def cmd_inspect(args) -> int:
             print("latin: valid")
             print("checksum: ok")
         elif head[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC:
-            header = read_container_header(head, os.fstat(fh.fileno()).st_size)
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):  # a pipe has no size to frame it by
+                raise ValueError(f"container must be a regular file: {args.path}")
+            header = read_container_header(head, st.st_size)
             _check_payload(fh, header)
             fh.seek(header.size - CRC_TRAILER.size)
             (crc,) = CRC_TRAILER.unpack(_read_to_end(fh, CRC_TRAILER.size))

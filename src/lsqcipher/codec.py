@@ -77,13 +77,23 @@ class ContainerHeader:
     """The fields ahead of a container's payload.
 
     A container is this header, `count` payload symbols and a CRC trailer,
-    so the header alone fixes the size of the whole container.
+    so the header alone fixes the size of the whole container. Its fields
+    are checked when it is built, so the writer and the reader of a
+    container apply one set of rules.
     """
 
     order: int
     m: int
     nonce: bytes
     count: int                   # payload symbols
+
+    def __post_init__(self):
+        if not 2 <= self.order <= MAX_ORDER:
+            raise OutOfRange(f"container order {self.order} outside [2, {MAX_ORDER}]")
+        if not 1 <= self.m <= 255:
+            raise LengthMismatch("block length m must be in [1, 255]")
+        if len(self.nonce) != NONCE_BYTES:
+            raise LengthMismatch(f"nonce must be {NONCE_BYTES} bytes")
 
     @property
     def size(self) -> int:
@@ -92,10 +102,6 @@ class ContainerHeader:
         return HEADER_BYTES + self.count * width + CRC_TRAILER.size
 
     def pack(self) -> bytes:
-        if self.m < 1 or self.m > 255:
-            raise LengthMismatch("block length m must be in [1, 255]")
-        if len(self.nonce) != NONCE_BYTES:
-            raise LengthMismatch(f"nonce must be {NONCE_BYTES} bytes")
         return _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, self.order, self.m,
                             self.nonce, self.count)
 
@@ -146,8 +152,23 @@ def read_key(data: bytes) -> KeyFile:
     return KeyFile(key=KeyAutomaton(order, square), seed=seed)
 
 
+def check_symbols(symbols: np.ndarray, order: int) -> None:
+    """Raise OutOfRange unless every payload symbol lies in [0, order).
+
+    Scans nothing when the dtype holds no value outside that range, as at
+    order 256 with one-byte symbols.
+    """
+    if not symbols.size or (symbols.dtype.kind == "u" and np.iinfo(symbols.dtype).max < order):
+        return
+    if symbols.max() >= order:
+        raise OutOfRange(f"payload symbol {symbols.max()} >= order {order}")
+    if symbols.min() < 0:
+        raise OutOfRange(f"payload symbol {symbols.min()} < 0")
+
+
 def write_container(ct: CipherContainer) -> bytes:
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
+    check_symbols(ct.payload, ct.order)
     wire = ct.payload.astype(symbol_wire_dtype(ct.order), copy=False)
     return header.pack() + wire.tobytes() + CRC_TRAILER.pack(ct.plaintext_crc)
 
@@ -168,10 +189,6 @@ def read_container_header(data: bytes, size: int) -> ContainerHeader:
     _, version, order, m, nonce, count = _HEADER.unpack_from(data)
     if version != CONTAINER_VERSION:
         raise UnsupportedVersion(f"container version {version}")
-    if not 2 <= order <= MAX_ORDER:
-        raise OutOfRange(f"container order {order} outside [2, {MAX_ORDER}]")
-    if m < 1:
-        raise LengthMismatch("block length m must be >= 1")
     header = ContainerHeader(order=order, m=m, nonce=nonce, count=count)
     if size < header.size:
         raise TruncatedFile(f"container needs {header.size} bytes, got {size}")
@@ -185,8 +202,7 @@ def read_container(data: bytes) -> CipherContainer:
     end = header.size - CRC_TRAILER.size
     wire = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
     payload = wire.astype(symbol_dtype(header.order), copy=False)
-    if payload.size and payload.max() >= header.order:
-        raise OutOfRange(f"payload symbol {payload.max()} >= order {header.order}")
+    check_symbols(payload, header.order)
     (crc,) = CRC_TRAILER.unpack_from(data, end)
     return CipherContainer(order=header.order, m=header.m, nonce=header.nonce,
                            payload=payload, plaintext_crc=crc)

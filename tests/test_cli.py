@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import lsqcipher
+from lsqcipher import keystream
 from lsqcipher.cli import (
     EXIT_CHECKSUM,
     EXIT_FORMAT,
@@ -285,6 +287,36 @@ class TestStreamingInput:
         assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
 
 
+class TestNonceCap:
+    """A run that needs more keystream than one nonce covers is refused
+    before --out is opened. At order 256 a symbol at block length m draws m
+    ChaCha20 bytes, so a cap of 1000 bytes covers 500 symbols at m=2."""
+
+    CAP = 1000
+
+    def encrypt(self, keyfile, src, out):
+        return main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(out),
+                     "-m", "2"])
+
+    @pytest.mark.parametrize("size, code", [(500, 0), (501, EXIT_USAGE)])
+    def test_encrypt(self, tmp_path, keyfile, monkeypatch, size, code):
+        src, ct = tmp_path / "p", tmp_path / "ct"
+        src.write_bytes(os.urandom(size))
+        monkeypatch.setattr(keystream, "BYTE_CAP", self.CAP)
+        assert self.encrypt(keyfile, src, ct) == code
+        assert ct.exists() == (code == 0)
+
+    @pytest.mark.parametrize("size, code", [(500, 0), (501, EXIT_FORMAT)])
+    def test_decrypt(self, tmp_path, keyfile, monkeypatch, size, code):
+        src, ct, out = tmp_path / "p", tmp_path / "ct", tmp_path / "out"
+        src.write_bytes(os.urandom(size))
+        assert self.encrypt(keyfile, src, ct) == 0
+        monkeypatch.setattr(keystream, "BYTE_CAP", self.CAP)
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(ct),
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
+
 def test_encrypt_builds_no_inverse(tmp_path, keyfile, monkeypatch):
     def row_inverse(self):
         raise AssertionError("encrypt built a row inverse")
@@ -316,6 +348,45 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "key file" in out and "order: 256" in out
 
+    @pytest.mark.parametrize("through_pipe", [False, True])
+    def test_key_peak_memory(self, tmp_path, through_pipe, capsys):
+        # The key bytes plus validation's copy of the table and its mask read
+        # about 2.6x the key file at order 1024; one more whole copy of the
+        # file kept alive would read about 3.5x.
+        key = tmp_path / "k1024"
+        assert main(["keygen", "-n", "1024", "--out", str(key)]) == 0
+        blob = key.read_bytes()
+        path, writer = key, None
+        if through_pipe:
+            path = tmp_path / "fifo"
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(blob,))
+            writer.start()
+        tracemalloc.start()
+        try:
+            assert main(["inspect", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if writer:
+                writer.join()
+        assert "order: 1024" in capsys.readouterr().out
+        assert peak <= 2.75 * len(blob), peak / len(blob)
+
+    def test_container_through_pipe_refused(self, tmp_path, keyfile, capsys):
+        # a pipe has no size to check the header's framing against
+        src, ct, fifo = tmp_path / "p", tmp_path / "ct", tmp_path / "fifo"
+        src.write_bytes(b"abc")
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct)]) == 0
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(ct.read_bytes(),))
+        writer.start()
+        try:
+            assert main(["inspect", str(fifo)]) == EXIT_USAGE
+        finally:
+            writer.join()
+        assert "container must be a regular file" in capsys.readouterr().err
+
     def test_container_report(self, tmp_path, keyfile, forced_nonce, capsys):
         src = tmp_path / "p"
         src.write_bytes(b"abc")
@@ -345,12 +416,14 @@ class TestInspect:
     def test_order_300_payload_range_checked(self, tmp_path, capsys):
         # Two-byte symbols can hold values >= 300; the last one sits past
         # the first IO_CHUNK of the payload.
+        # write_container refuses 300, so it is patched into the written bytes.
         payload = np.random.default_rng(3).integers(0, 300, 600_000).astype(np.uint16)
+        blob = bytearray(write_container(CipherContainer(
+            order=300, m=2, nonce=bytes(12), payload=payload, plaintext_crc=0xdeadbeef)))
         path = tmp_path / "ct"
         for last, code in ((299, 0), (300, EXIT_FORMAT)):
-            payload[-1] = last
-            path.write_bytes(write_container(CipherContainer(
-                order=300, m=2, nonce=bytes(12), payload=payload, plaintext_crc=0xdeadbeef)))
+            blob[-6:-4] = last.to_bytes(2, "big")  # the last symbol, ahead of the CRC
+            path.write_bytes(blob)
             assert main(["inspect", str(path)]) == code
         out, err = capsys.readouterr()
         assert "order: 300" in out and "payload symbols: 600000" in out

@@ -12,6 +12,7 @@ from lsqcipher.codec import (
     CONTAINER_MAGIC,
     KEY_MAGIC,
     CipherContainer,
+    ContainerHeader,
     KeyFile,
     read_container,
     read_key,
@@ -235,9 +236,27 @@ class TestContainer:
             read_container(bytes(blob))
 
     def test_symbol_not_below_order(self):
-        blob = write_container(container(order=1000, payload=[0, 65000, 5]))
+        blob = bytearray(write_container(container(order=1000, payload=[0, 999, 5])))
+        # write_container refuses 65000, so it is patched into the second symbol
+        second = 8 + 1 + 4 + 1 + 12 + 8 + 2
+        blob[second:second + 2] = struct.pack(">H", 65000)
         with pytest.raises(OutOfRange):
-            read_container(blob)
+            read_container(bytes(blob))
+
+    @pytest.mark.parametrize("order, payload", [
+        (256, np.array([1, 300], dtype=np.uint16)),  # would be stored as 44
+        (300, np.array([0, -1], dtype=np.int32)),    # would be stored as 65535
+        (300, np.array([299, 300], dtype=np.uint16)),
+    ])
+    def test_symbol_not_below_order_refused_on_write(self, order, payload):
+        with pytest.raises(OutOfRange):
+            write_container(CipherContainer(order=order, m=1, nonce=NONCE, payload=payload,
+                                            plaintext_crc=0))
+
+    @pytest.mark.parametrize("order", [0, 1, 65537])
+    def test_order_out_of_range_refused_on_write(self, order):
+        with pytest.raises(OutOfRange):
+            ContainerHeader(order=order, m=1, nonce=NONCE, count=0).pack()
 
 
 @functools.cache

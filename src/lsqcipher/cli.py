@@ -141,7 +141,7 @@ def _load_key(path: str) -> KeyFile:
         return read_key(fh.read())
 
 
-def _require_byte_key(kf: KeyFile):
+def _require_byte_key(kf: KeyFile) -> None:
     if kf.order != 256:
         raise ValueError("encrypt/decrypt operate on byte files and need an order-256 key")
 

@@ -21,6 +21,7 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .errors import NonceReuse
 from .keystream import KeystreamReader, KeystreamSpec
+from .latin import all_symbols
 
 ENGINES = ("fa", "qg")
 
@@ -89,9 +90,7 @@ def _as_symbols(seq, order: int) -> np.ndarray:
         arr = np.frombuffer(seq, dtype=np.uint8)
     else:
         arr = np.asarray(list(seq))
-    if arr.size and not (np.issubdtype(arr.dtype, np.integer) and (
-            (arr.dtype.kind == "u" and np.iinfo(arr.dtype).max < order)
-            or (arr.min() >= 0 and arr.max() < order))):
+    if arr.size and not (np.issubdtype(arr.dtype, np.integer) and all_symbols(arr, order)):
         raise ValueError(f"symbols must be integers in [0, {order})")
     return arr
 

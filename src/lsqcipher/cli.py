@@ -7,8 +7,11 @@ container header before any output is written, and the output must be
 neither the input nor the key file. A run that needs more keystream than
 one nonce covers is refused before the output is opened.
 
-`inspect` reads a key whole, from a file or a pipe, and a container in
-parts; a container must be a regular file, whose size frames it.
+A key, named by `--key` or given to `inspect`, is read from a file or a
+pipe only after its header: the size the header gives must match a regular
+file's, and no more than one byte past it is read from a pipe. `inspect`
+reads a container in parts; a container must be a regular file, whose size
+frames it.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -34,19 +37,21 @@ from .codec import (
     CONTAINER_MAGIC,
     CRC_TRAILER,
     HEADER_BYTES,
+    KEY_HEADER_BYTES,
     KEY_MAGIC,
     ContainerHeader,
     KeyFile,
     check_symbols,
+    key_file_size,
     read_container,
     read_container_header,
     read_key,
     write_container,
     write_key,
 )
-from .errors import CodecError, InconsistentPairs, LsqError
+from .errors import CodecError, InconsistentPairs, LengthMismatch, LsqError
 from .keystream import NONCE_BYTES, SEED_BYTES
-from .latin import Quasigroup, generate_latin, symbol_wire_dtype
+from .latin import Quasigroup, generate_latin, holds_only_symbols, symbol_wire_dtype
 
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
@@ -122,7 +127,7 @@ def _check_payload(src, header: ContainerHeader):
     from `src` in IO_CHUNK parts is not below the order. Reads nothing at
     orders that fill the symbol width, where every value is a symbol."""
     wire = symbol_wire_dtype(header.order)
-    if np.iinfo(wire).max < header.order:
+    if holds_only_symbols(wire, header.order):
         return
     for part in _parts(src, header.count, wire):
         check_symbols(part, header.order)
@@ -136,9 +141,30 @@ def _read_to_end(src, n: int) -> bytes:
     return tail
 
 
+def _read_key(fh, head: bytes = b"") -> KeyFile:
+    """Read and certify the key file open on `fh`, whose first bytes `head`
+    have already been read.
+
+    The body is read only after the header: a regular file must be the size
+    the header gives, and no more than one byte past that size is read from
+    a pipe, so a large file that is not a key costs no more than its header.
+    """
+    head += fh.read(KEY_HEADER_BYTES - len(head))
+    size = key_file_size(head)
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size != size:
+        raise LengthMismatch(f"key file has {st.st_size} bytes, its header gives {size}")
+    # one byte past the size shows a pipe that runs on; the buffer is not
+    # zeroed, so a pipe that ends early never touches most of it
+    buf = memoryview(np.empty(size + 1, dtype=np.uint8))
+    buf[:len(head)] = head
+    got = len(head) + fh.readinto(buf[len(head):])
+    return read_key(buf[:got])
+
+
 def _load_key(path: str) -> KeyFile:
     with open(path, "rb") as fh:
-        return read_key(fh.read())
+        return _read_key(fh)
 
 
 def _require_byte_key(kf: KeyFile) -> None:
@@ -219,7 +245,7 @@ def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
-            kf = read_key(head + fh.read())
+            kf = _read_key(fh, head)
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")

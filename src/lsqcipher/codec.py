@@ -29,12 +29,13 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
+from .latin import MAX_KEY_ORDER, MAX_ORDER, symbol_dtype, symbol_wire_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
 # magic, order, keystream seed; the table and a CRC-32 of all before it follow
 _KEY_HEADER = struct.Struct(f">{len(KEY_MAGIC)}sI{SEED_BYTES}s")
+KEY_HEADER_BYTES = _KEY_HEADER.size
 CONTAINER_MAGIC = b"LSQCT\x00\x00\x01"
 CONTAINER_VERSION = 1
 # magic, version, order, m, nonce, payload symbol count
@@ -114,28 +115,42 @@ def write_key(kf: KeyFile) -> bytearray:
         raise LengthMismatch(f"seed must be {SEED_BYTES} bytes")
     order = kf.order
     wire = symbol_wire_dtype(order)
-    body = _KEY_HEADER.size + order * order * wire.itemsize
+    body = KEY_HEADER_BYTES + order * order * wire.itemsize
     buf = bytearray(body + CRC_TRAILER.size)
     _KEY_HEADER.pack_into(buf, 0, KEY_MAGIC, order, kf.seed)
-    table = np.frombuffer(buf, dtype=wire, count=order * order, offset=_KEY_HEADER.size)
+    table = np.frombuffer(buf, dtype=wire, count=order * order, offset=KEY_HEADER_BYTES)
     np.copyto(table.reshape(order, order), kf.key.delta.entries)
     CRC_TRAILER.pack_into(buf, body, zlib.crc32(memoryview(buf)[:body]))
     return buf
+
+
+def key_file_size(head: bytes) -> int:
+    """The size of the key file whose first bytes are `head`, from the order
+    in its header.
+
+    `head` need hold no more than KEY_HEADER_BYTES, so a reader can check a
+    key file's size, and refuse an order above MAX_KEY_ORDER, before it
+    reads or allocates anything the size of the table.
+    """
+    if len(head) < len(KEY_MAGIC):
+        raise TruncatedFile("key file shorter than magic")
+    if head[:len(KEY_MAGIC)] != KEY_MAGIC:
+        raise BadMagic("not a key file")
+    if len(head) < KEY_HEADER_BYTES:
+        raise TruncatedFile("key file truncated in header")
+    _, order, _ = _KEY_HEADER.unpack_from(head)
+    if order > MAX_KEY_ORDER:
+        raise OutOfRange(f"key order {order} > {MAX_KEY_ORDER} unsupported")
+    return KEY_HEADER_BYTES + order * order * symbol_dtype(order).itemsize + CRC_TRAILER.size
 
 
 def read_key(data: bytes) -> KeyFile:
     """Parse and certify a key file. Its checksum, seed and table are read
     through one memoryview of `data`, so no slice of the key body is copied."""
     view = memoryview(data)
-    if len(view) < len(KEY_MAGIC):
-        raise TruncatedFile("key file shorter than magic")
-    if view[:len(KEY_MAGIC)] != KEY_MAGIC:
-        raise BadMagic("not a key file")
-    if len(view) < _KEY_HEADER.size:
-        raise TruncatedFile("key file truncated in header")
+    total = key_file_size(view)
     _, order, seed = _KEY_HEADER.unpack_from(view)
-    end = _KEY_HEADER.size + order * order * symbol_dtype(order).itemsize
-    total = end + CRC_TRAILER.size
+    end = total - CRC_TRAILER.size
     if len(view) < total:
         raise TruncatedFile(f"key file needs {total} bytes, got {len(view)}")
     if len(view) > total:
@@ -143,7 +158,7 @@ def read_key(data: bytes) -> KeyFile:
     (crc,) = CRC_TRAILER.unpack_from(view, end)
     if crc != zlib.crc32(view[:end]):
         raise BadChecksum("key file checksum mismatch")
-    table = np.frombuffer(view[_KEY_HEADER.size:end], dtype=symbol_wire_dtype(order))
+    table = np.frombuffer(view[KEY_HEADER_BYTES:end], dtype=symbol_wire_dtype(order))
     try:
         # looked up on the module, so a wrapper patched onto it sees key loads
         square = latin.validate_latin(table.reshape(order, order))
@@ -158,12 +173,11 @@ def check_symbols(symbols: np.ndarray, order: int) -> None:
     Scans nothing when the dtype holds no value outside that range, as at
     order 256 with one-byte symbols.
     """
-    if not symbols.size or (symbols.dtype.kind == "u" and np.iinfo(symbols.dtype).max < order):
+    if latin.all_symbols(symbols, order):
         return
     if symbols.max() >= order:
         raise OutOfRange(f"payload symbol {symbols.max()} >= order {order}")
-    if symbols.min() < 0:
-        raise OutOfRange(f"payload symbol {symbols.min()} < 0")
+    raise OutOfRange(f"payload symbol {symbols.min()} < 0")
 
 
 def write_container(ct: CipherContainer) -> bytes:

@@ -90,4 +90,5 @@ class LengthMismatch(CodecError):
 
 
 class OutOfRange(CodecError):
-    """A container order outside [2, MAX_ORDER] or a symbol outside [0, order)."""
+    """A container order outside [2, MAX_ORDER], a key order above
+    MAX_KEY_ORDER, or a symbol outside [0, order)."""

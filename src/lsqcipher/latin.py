@@ -23,7 +23,20 @@ from .errors import (
     RowViolation,
 )
 
+# Containers and the keystream hold no table, so their order is bounded only
+# by the two-byte symbol width. A key holds an n x n table, and keygen and
+# key load peak at two to three times it, so keys stop at the order whose
+# table is 512 MiB.
 MAX_ORDER = 65536
+MAX_KEY_ORDER = 16384
+
+# A blocked pass over the lines of a table takes them in blocks of about
+# _BLOCK_CELLS cells, whose intp offsets take 256 KiB, but of no fewer than
+# _BLOCK_LINES lines: a column block reads that many adjacent entries of
+# each row, and at 2-byte orders a narrower block would use only part of
+# each 64-byte cache line it loads.
+_BLOCK_CELLS = 1 << 15
+_BLOCK_LINES = 32
 
 
 def symbol_dtype(order: int) -> np.dtype:
@@ -35,6 +48,53 @@ def symbol_wire_dtype(order: int) -> np.dtype:
     """Wire format of symbols in key files, containers and keystream words:
     the storage width, big-endian."""
     return symbol_dtype(order).newbyteorder(">")
+
+
+def holds_only_symbols(dtype, order: int) -> bool:
+    """True when no value of `dtype` lies outside [0, order): an unsigned
+    type whose maximum is below the order, as one byte is at order 256.
+    An array of such a type needs no range scan."""
+    dtype = np.dtype(dtype)
+    return dtype.kind == "u" and np.iinfo(dtype).max < order
+
+
+def all_symbols(values: np.ndarray, order: int) -> bool:
+    """True when every entry of the integer array `values` lies in
+    [0, order). Scans only what the dtype does not already rule out: nothing
+    under holds_only_symbols, and no minimum of an unsigned type."""
+    if not values.size or holds_only_symbols(values.dtype, order):
+        return True
+    return (values.dtype.kind == "u" or values.min() >= 0) and values.max() < order
+
+
+def _block_lines(n: int) -> int:
+    """Lines per block of a blocked pass over an order-n table."""
+    return min(n, max(_BLOCK_LINES, _BLOCK_CELLS // n))
+
+
+def _line_offsets(entries: np.ndarray, columns: bool):
+    """Walk the rows of a square table, or its columns if `columns`, in
+    blocks of whole lines, and yield (lo, offsets) for each block.
+
+    The block holds lines lo, lo + 1, ... and `offsets` holds
+    (line - lo) * n + entry for each of its cells, in the block's C order, so
+    a 1-D scatter through it lands in the block's own slots of a buffer of
+    _block_lines(n) * n cells: line by line, n slots indexed by symbol. A
+    column block is read in place, with no transposed copy. One intp buffer
+    serves every block, so each block's offsets overwrite the last's.
+    """
+    n = entries.shape[0]
+    lines = _block_lines(n)
+    buf = np.empty(lines * n, dtype=np.intp)
+    step = np.arange(0, lines * n, n, dtype=np.intp)
+    for lo in range(0, n, lines):
+        k = min(lines, n - lo)
+        offsets = buf[:k * n]
+        if columns:
+            np.add(entries[:, lo:lo + k], step[:k], out=offsets.reshape(n, k))
+        else:
+            np.add(entries[lo:lo + k], step[:k, None], out=offsets.reshape(k, n))
+        yield lo, offsets
 
 
 @dataclass(frozen=True)
@@ -58,30 +118,38 @@ class LatinSquare:
         return self.order == other.order and np.array_equal(self.entries, other.entries)
 
     def row_inverse(self) -> "LatinSquare":
-        """The square inv with inv[i, entries[i, j]] = j, row by row.
+        """The square inv with inv[i, entries[i, j]] = j: each row's inverse
+        permutation.
 
         Read as a transition table it is the inverse key automaton; read as
         a Cayley table it is left division. It is Latin by construction, so
-        it is not re-validated. Built on first use and cached.
+        it is not re-validated. Built on first use, in blocks of rows, each
+        scattering its column indices into its own rows, and cached.
         """
         cached = self.__dict__.get("_row_inverse")
         if cached is not None:
             return cached
         n = self.order
         inv = np.empty((n, n), dtype=self.entries.dtype)
-        inv[np.arange(n)[:, None], self.entries] = np.arange(n)
+        flat = inv.reshape(-1)
+        # column indices j, repeated along a block's rows in C order
+        cols = np.tile(np.arange(n, dtype=inv.dtype), _block_lines(n))
+        for lo, offsets in _line_offsets(self.entries, columns=False):
+            flat[lo * n:][offsets] = cols[:offsets.size]
         cached = LatinSquare(n, inv)
         object.__setattr__(self, "_row_inverse", cached)
         return cached
 
 
 def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
-    """Certify a table as a Latin square, checking all 2n lines.
+    """Certify a table as a Latin square, checking all 2n lines in blocks
+    of whole lines, so that the check needs no n x n mask.
 
-    Raises DimensionMismatch for ragged, non-square or out-of-range input,
-    OrderTooSmall for n < 2, and RowViolation/ColViolation naming the first
-    bad line (rows before columns, lowest index first) and the first symbol
-    it repeats in scan order. The square owns a copy of the table.
+    Raises DimensionMismatch for ragged, non-square or out-of-range input
+    and for an order above MAX_KEY_ORDER, OrderTooSmall for n < 2, and
+    RowViolation/ColViolation naming the first bad line (rows before
+    columns, lowest index first) and the first symbol it repeats in scan
+    order. The square owns a copy of the table.
     """
     try:
         arr = np.asarray(table)
@@ -92,27 +160,31 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
     n = arr.shape[0]
     if n < 2:
         raise OrderTooSmall(f"order {n} < 2")
-    if n > MAX_ORDER:
-        raise DimensionMismatch(f"order {n} > {MAX_ORDER} unsupported")
+    if n > MAX_KEY_ORDER:
+        raise DimensionMismatch(f"key order {n} > {MAX_KEY_ORDER} unsupported")
     if not np.issubdtype(arr.dtype, np.integer):
         raise DimensionMismatch("entries must be integers")
-    if arr.min() < 0 or arr.max() >= n:
+    if not all_symbols(arr, n):
         raise DimensionMismatch(f"entries must lie in [0, {n})")
     entries = arr.astype(symbol_dtype(n), order="C")
-    # one mask for both passes: n symbols in [0, n) fill a line's n slots
-    # only if none repeats
-    seen = np.empty((n, n), dtype=bool)
-    for lines, violation in ((entries, RowViolation), (entries.T, ColViolation)):
-        seen.fill(False)
-        seen[np.arange(n)[:, None], lines] = True
-        complete = seen.all(axis=1)
-        if not complete.all():
-            i = int(np.argmin(complete))
+    # one block-sized mask, reused by every block of both passes: n symbols
+    # in [0, n) fill a line's n slots only if none repeats
+    seen = np.empty(_block_lines(n) * n, dtype=bool)
+    for columns, violation in ((False, RowViolation), (True, ColViolation)):
+        for lo, offsets in _line_offsets(entries, columns):
+            block = seen[:offsets.size]
+            block.fill(False)
+            block[offsets] = True
+            if block.all():
+                continue
+            i = lo + int(np.argmin(block.reshape(-1, n).all(axis=1)))
+            line = entries[:, i] if columns else entries[i]
             # the first repeat in scan order sits at the lowest position that
             # does not hold its symbol's first occurrence
-            first = np.unique(lines[i], return_index=True)[1]
+            first = np.unique(line, return_index=True)[1]
             j = np.setdiff1d(np.arange(n), first)[0]
-            raise violation(i, int(lines[i][j]))
+            raise violation(i, int(line[j]))
+        del offsets  # frees this pass's buffer before the next pass takes one
     return LatinSquare(n, entries)
 
 
@@ -143,8 +215,8 @@ def generate_latin(
     """
     if order < 2:
         raise OrderTooSmall(f"order {order} < 2")
-    if order > MAX_ORDER:
-        raise DimensionMismatch(f"order {order} > {MAX_ORDER} unsupported")
+    if order > MAX_KEY_ORDER:
+        raise DimensionMismatch(f"key order {order} > {MAX_KEY_ORDER} unsupported")
     if walk_steps < 0:
         raise ValueError("walk steps must be >= 0")
     if _perms is None:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -22,13 +23,14 @@ from lsqcipher.cli import (
     main,
 )
 from lsqcipher.codec import (
+    KEY_MAGIC,
     CipherContainer,
     ContainerHeader,
     read_container,
     read_key,
     write_container,
 )
-from lsqcipher.latin import LatinSquare
+from lsqcipher.latin import MAX_KEY_ORDER, LatinSquare
 
 FORCED_NONCE = "0102030405060708090a0b0c"
 MIB = 1 << 20
@@ -40,6 +42,11 @@ def keyfile(tmp_path):
     assert main(["keygen", "-n", "256", "--table-seed", "aa55",
                  "--keystream-seed", "00" * 32, "--out", str(path)]) == 0
     return path
+
+
+def key_header(order: int) -> bytes:
+    """The 44 bytes that open a key file of this order."""
+    return KEY_MAGIC + struct.pack(">I", order) + bytes(32)
 
 
 @pytest.fixture
@@ -77,6 +84,12 @@ class TestKeygen:
         out = tmp_path / "w.key"
         assert main(["keygen", "-n", "8", "--walk-steps", "25", "--out", str(out)]) == 0
         read_key(out.read_bytes())
+
+    def test_order_above_ceiling_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "k"
+        assert main(["keygen", "-n", str(MAX_KEY_ORDER + 1), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert f"key order {MAX_KEY_ORDER + 1} > {MAX_KEY_ORDER}" in capsys.readouterr().err
 
     def test_negative_walk_steps_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "w.key"
@@ -182,6 +195,69 @@ class TestEncryptDecrypt:
                      "--out", str(tmp_path / "ct")]) == EXIT_FORMAT
 
 
+class TestKeyHeaderFirst:
+    """`--key` and `inspect` read a key's body only after its header."""
+
+    def test_order_above_ceiling_refused(self, tmp_path, capsys):
+        key, src = tmp_path / "k", tmp_path / "p"
+        key.write_bytes(key_header(MAX_KEY_ORDER + 1))
+        src.write_bytes(b"x")
+        assert main(["inspect", str(key)]) == EXIT_FORMAT
+        assert main(["encrypt", "--key", str(key), "--in", str(src),
+                     "--out", str(tmp_path / "ct")]) == EXIT_FORMAT
+        assert capsys.readouterr().err.count(f"key order {MAX_KEY_ORDER + 1}") == 2
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_file_size_not_the_headers_refused(self, tmp_path, keyfile, capsys, extra):
+        blob = keyfile.read_bytes()
+        key = tmp_path / "k"
+        key.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+        assert main(["inspect", str(key)]) == EXIT_FORMAT
+        assert f"key file has {len(blob) + extra} bytes, its header gives {len(blob)}" \
+            in capsys.readouterr().err
+
+    def test_pipe_read_one_byte_past_the_key(self, tmp_path, capsys):
+        # an order-16 key and what follows it fit in the pipe's buffer, so
+        # the writer never waits on a reader that has stopped
+        key, fifo = tmp_path / "k16", tmp_path / "fifo"
+        assert main(["keygen", "-n", "16", "--out", str(key)]) == 0
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(key.read_bytes() + bytes(100),))
+        writer.start()
+        try:
+            assert main(["inspect", str(fifo)]) == EXIT_FORMAT
+        finally:
+            writer.join()
+        assert "key file has 1 trailing bytes" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_flat_in_file_size(self, tmp_path):
+        # A child process names a sparse file that opens with a key header
+        # as a key, to inspect and to encrypt, and reports its own peak RSS;
+        # reading the file would peak higher by its size.
+        child = ("import os, resource, sys\n"
+                 "from lsqcipher.cli import main\n"
+                 "key, src = sys.argv[1:]\n"
+                 "assert main(['inspect', key]) == 3\n"
+                 "assert main(['encrypt', '--key', key, '--in', src, '--out', os.devnull]) == 3\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+        key, src = tmp_path / "k", tmp_path / "p"
+        src.write_bytes(b"x")
+        peak_kib = []
+        for mib in (1, 256):
+            with open(key, "wb") as fh:
+                fh.write(key_header(256))
+                fh.truncate(mib * MIB)
+            proc = subprocess.run([sys.executable, "-c", child, str(key), str(src)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.count("its header gives 65584") == 2, proc.stderr
+            peak_kib.append(int(proc.stdout.split()[-1]))
+            key.unlink()
+        assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
+
+
 class TestStreamingInput:
     """encrypt and decrypt stream a regular input file into another file."""
 
@@ -248,13 +324,16 @@ class TestStreamingInput:
 
     @pytest.mark.parametrize("drift", [-5, 5])
     def test_input_size_change_is_io_error(self, tmp_path, keyfile, monkeypatch, drift):
-        # The input yields `drift` more (or fewer) bytes than its fstat size.
+        # The input yields `drift` more (or fewer) bytes than its fstat size;
+        # the key file's fstat size is left alone, as the key is checked by it.
         src = tmp_path / "plain"
         src.write_bytes(os.urandom(1000))
         real_fstat = os.fstat
 
         def fstat(fd):
             st = real_fstat(fd)
+            if st.st_ino != src.stat().st_ino:
+                return st
             return os.stat_result((*st[:6], st.st_size - drift, *st[7:10]))
         monkeypatch.setattr(os, "fstat", fstat)
         assert self.encrypt(keyfile, src, tmp_path / "ct") == EXIT_IO
@@ -350,9 +429,10 @@ class TestInspect:
 
     @pytest.mark.parametrize("through_pipe", [False, True])
     def test_key_peak_memory(self, tmp_path, through_pipe, capsys):
-        # The key bytes plus validation's copy of the table and its mask read
-        # about 2.6x the key file at order 1024; one more whole copy of the
-        # file kept alive would read about 3.5x.
+        # The key bytes, read into one buffer, plus validation's copy of the
+        # table and one block of offsets read about 2.2x the key file at
+        # order 1024; one more whole copy of the file kept alive would read
+        # about 3.2x, and an n x n mask about 2.6x.
         key = tmp_path / "k1024"
         assert main(["keygen", "-n", "1024", "--out", str(key)]) == 0
         blob = key.read_bytes()
@@ -371,7 +451,7 @@ class TestInspect:
             if writer:
                 writer.join()
         assert "order: 1024" in capsys.readouterr().out
-        assert peak <= 2.75 * len(blob), peak / len(blob)
+        assert peak <= 2.4 * len(blob), peak / len(blob)
 
     def test_container_through_pipe_refused(self, tmp_path, keyfile, capsys):
         # a pipe has no size to check the header's framing against

@@ -14,6 +14,7 @@ from lsqcipher.codec import (
     CipherContainer,
     ContainerHeader,
     KeyFile,
+    key_file_size,
     read_container,
     read_key,
     write_container,
@@ -29,6 +30,8 @@ from lsqcipher.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+
+from lsqcipher.latin import MAX_KEY_ORDER
 
 from conftest import cyclic_automaton, random_automaton
 
@@ -71,8 +74,8 @@ class TestKeyGolden:
         assert write_key(read_key(blob)) == blob
 
     def test_load_copies_no_slice_of_the_key(self):
-        # the square's copy of the table and validation's line mask; slices
-        # of the key body for the CRC and the table would add 2x
+        # the square's copy of the table and validation's block buffers;
+        # slices of the key body for the CRC and the table would add 2x
         blob = write_key(KeyFile(key=random_automaton(1000), seed=SEED))
         tracemalloc.start()
         try:
@@ -145,6 +148,16 @@ class TestKeyCorruption:
         blob[-1] ^= 0xFF
         with pytest.raises(BadChecksum):
             read_key(bytes(blob))
+
+    def test_order_above_ceiling_refused_from_header(self):
+        # the header alone fixes the size, so no table need follow it
+        head = KEY_MAGIC + struct.pack(">I", MAX_KEY_ORDER) + SEED
+        assert key_file_size(head) == 44 + 2 * MAX_KEY_ORDER ** 2 + 4
+        head = KEY_MAGIC + struct.pack(">I", MAX_KEY_ORDER + 1) + SEED
+        with pytest.raises(OutOfRange, match="key order"):
+            key_file_size(head)
+        with pytest.raises(OutOfRange, match="key order"):
+            read_key(head)
 
 
 def container(order=256, m=4, payload=None, crc=0xDEADBEEF):

@@ -14,7 +14,9 @@ from lsqcipher.errors import (
     RowViolation,
 )
 from lsqcipher.latin import (
+    MAX_KEY_ORDER,
     Quasigroup,
+    _block_lines,
     _seeded_rng,
     fold_left_div,
     fold_mul,
@@ -186,6 +188,97 @@ class TestViolationNaming:
                         r, c, v = rng.integers(0, n, 3)
                         t[r, c] = v
                 assert raised_violation(t) == first_violation(t)
+
+
+class TestBlockedPasses:
+    """The row pass, the column pass and the row inverse walk the table in
+    blocks of whole lines; a line at any place in the block layout is
+    checked and inverted as a scalar loop over that line would."""
+
+    ORDERS = [2, 3, 31, 32, 33, 255, 257, 1000, 1025]
+
+    @staticmethod
+    def lines(n):
+        # the last line of the first block, a line of a middle block and
+        # the last line, which sits in a partial block where n is not a
+        # multiple of the block
+        return sorted({_block_lines(n) - 1, n // 2, n - 1})
+
+    def test_orders_reach_partial_and_middle_blocks(self):
+        for n in (255, 257, 1000, 1025):
+            assert n % _block_lines(n), n
+        for n in (257, 1000, 1025):
+            assert _block_lines(n) <= n // 2 < n - n % _block_lines(n), n
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_row_corruption_named_as_reference(self, n):
+        base = generate_latin(n, b"blocks").entries.astype(np.int64)
+        rng = np.random.default_rng(n)
+        for r in self.lines(n):
+            t = base.copy()
+            a, b = rng.choice(n, 2, replace=False)
+            t[r, a] = t[r, b]  # breaks row r and column a
+            got = raised_violation(t)
+            assert got == first_violation(t)
+            assert got[:2] == (RowViolation, r)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_column_corruption_named_as_reference(self, n):
+        base = generate_latin(n, b"blocks").entries.astype(np.int64)
+        rng = np.random.default_rng(n)
+        for c in self.lines(n):
+            # a swap in one row keeps every row a permutation and breaks two
+            # columns, so the lower one is at most n - 2
+            c = min(c, n - 2)
+            t = base.copy()
+            r, d = int(rng.integers(n)), int(rng.integers(c + 1, n))
+            t[r, [c, d]] = t[r, [d, c]]
+            got = raised_violation(t)
+            assert got == first_violation(t)
+            assert got[:2] == (ColViolation, c)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_row_inverse_matches_scalar_inverse(self, n):
+        sq = generate_latin(n, b"blocks", walk_steps=3)
+        expect = [[0] * n for _ in range(n)]
+        for i, row in enumerate(sq.entries.tolist()):
+            for j, v in enumerate(row):
+                expect[i][v] = j
+        inv = sq.row_inverse().entries
+        assert inv.dtype == sq.entries.dtype
+        assert inv.tolist() == expect
+
+    def test_validate_peak_memory(self):
+        # the square's copy of the table and one block of intp offsets; an
+        # n x n mask beside the copy would read about 1.57x
+        sq = generate_latin(1024, b"mem")
+        for table in (sq.entries, sq.entries.astype(">u2")):
+            tracemalloc.start()
+            try:
+                validate_latin(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.3 * sq.entries.nbytes, peak / sq.entries.nbytes
+
+
+class TestKeyOrderCeiling:
+    def test_generate_refuses_order_above_ceiling(self):
+        with pytest.raises(DimensionMismatch, match="key order"):
+            generate_latin(MAX_KEY_ORDER + 1, b"S")
+
+    def test_validate_refuses_order_above_ceiling_before_copying(self):
+        # a broadcast view holds one byte, so only a check ahead of the
+        # square's copy keeps this from allocating the whole table
+        table = np.broadcast_to(np.zeros(1, dtype=np.uint8), (MAX_KEY_ORDER + 1,) * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="key order"):
+                validate_latin(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGenerate:

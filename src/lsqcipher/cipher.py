@@ -98,8 +98,8 @@ def _as_symbols(seq, order: int) -> np.ndarray:
 def _index_dtype(n: int) -> np.dtype:
     """The narrowest type that holds every flat table index k * n + s.
 
-    Orders stop at MAX_ORDER = 65536, whose largest index n * n - 1 still
-    fits uint32.
+    Key orders stop at MAX_KEY_ORDER = 16384, whose largest index
+    n * n - 1 fits uint32.
     """
     return np.dtype(np.uint16) if n <= 256 else np.dtype(np.uint32)
 

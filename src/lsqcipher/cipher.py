@@ -112,11 +112,12 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
 
     Symbol i depends only on start[i] and block i, so the message goes
     through in chunks of _CHUNK symbols, each reading its c * m keystream
-    symbols in one `take` and copying them as (m, c) into one block buffer
-    reused for the whole call. Each round builds its flat indices
+    symbols in one `take` and laying them out as (m, c), which at m = 1 is
+    the keystream array itself. Each round builds its flat indices
     k * n + state in one reused buffer of the narrowest type that holds
     them and gathers into the output slice, so working memory is bounded by
-    the chunk, not by the message length.
+    the chunk, not by the message length. The first round reads the
+    caller's symbols in place and never writes them.
     """
     n = table.shape[0]
     flat = table.reshape(-1)
@@ -124,20 +125,19 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     width = idx_dtype.type(n)
     out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
-    block_buf = np.empty((m, len(index_buf)), dtype=table.dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
     for lo in range(0, len(start), _CHUNK):
-        state = out[lo:lo + _CHUNK]
+        state = start[lo:lo + _CHUNK]
         c = len(state)
-        state[:] = start[lo:lo + c]
-        blocks = block_buf[:, :c]
-        blocks[:] = stream.take(c * m).reshape(c, m).T
+        # rebinding drops the last chunk's blocks before this chunk's copy
+        blocks = stream.take(c * m)
+        blocks = np.ascontiguousarray(blocks.reshape(c, m).T)
         index = index_buf[:c]
         for j in rounds:
             # The loop type is pinned: NumPy 1.x would pick it from the
             # value of `width` (uint8 at n = 200) and wrap k * n.
             np.multiply(blocks[j], width, out=index, dtype=idx_dtype,
                         casting="unsafe")
-            index += state
-            np.take(flat, index, out=state)
+            np.add(index, state, out=index, casting="unsafe")
+            state = np.take(flat, index, out=out[lo:lo + c])
     return out

@@ -5,13 +5,17 @@ through one multi-part message of a CipherSession, so their memory does not
 grow with the file. The input must be a regular file, whose size fixes the
 container header before any output is written, and the output must be
 neither the input nor the key file. A run that needs more keystream than
-one nonce covers is refused before the output is opened.
+one nonce covers is refused before the output is opened. The output is
+written to a temporary file beside the file `--out` resolves to and renamed
+over it only when the stream has ended, so a run that fails leaves `--out`
+as it was; an `--out` that exists and is not a regular file, such as
+/dev/null, is written directly.
 
 A key, named by `--key` or given to `inspect`, is read from a file or a
 pipe only after its header: the size the header gives must match a regular
 file's, and no more than one byte past it is read from a pipe. `inspect`
-reads a container in parts; a container must be a regular file, whose size
-frames it.
+prints a key's fingerprint, to tell keys apart by. It reads a container in
+parts; a container must be a regular file, whose size frames it.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -20,6 +24,7 @@ container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import stat
 import sys
@@ -43,6 +48,7 @@ from .codec import (
     KeyFile,
     check_symbols,
     key_file_size,
+    key_fingerprint,
     read_container,
     read_container_header,
     read_key,
@@ -89,6 +95,40 @@ def _open_input(path: str, out: str, key: str):
             if (dst.st_dev, dst.st_ino) == (other.st_dev, other.st_ino):
                 raise ValueError(f"output is the {name} file: {out}")
     return open(path, "rb")
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a binary file that becomes `path` only if the block ends without
+    an exception; otherwise `path` is left as it was and nothing is left
+    behind.
+
+    The file is a new one beside the file `path` resolves to, so a
+    symlinked `path` keeps its link, and it takes the permission bits of the
+    file it replaces. An existing `path` that is not a regular file, such as
+    /dev/null, is opened and written directly.
+    """
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as dst:
+            yield dst
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    # "xb" gives a new file the mode open(path, "wb") would give it
+    dst = open(tmp, "xb")
+    try:
+        with dst:
+            if old is not None:
+                os.fchmod(dst.fileno(), stat.S_IMODE(old.st_mode))
+            yield dst
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parts(src, count: int, dtype):
@@ -141,9 +181,9 @@ def _read_to_end(src, n: int) -> bytes:
     return tail
 
 
-def _read_key(fh, head: bytes = b"") -> KeyFile:
-    """Read and certify the key file open on `fh`, whose first bytes `head`
-    have already been read.
+def _key_bytes(fh, head: bytes = b"") -> memoryview:
+    """The bytes of the key file open on `fh`, whose first bytes `head` have
+    already been read, for read_key to certify.
 
     The body is read only after the header: a regular file must be the size
     the header gives, and no more than one byte past that size is read from
@@ -159,12 +199,12 @@ def _read_key(fh, head: bytes = b"") -> KeyFile:
     buf = memoryview(np.empty(size + 1, dtype=np.uint8))
     buf[:len(head)] = head
     got = len(head) + fh.readinto(buf[len(head):])
-    return read_key(buf[:got])
+    return buf[:got]
 
 
 def _load_key(path: str) -> KeyFile:
     with open(path, "rb") as fh:
-        return _read_key(fh)
+        return read_key(_key_bytes(fh))
 
 
 def _require_byte_key(kf: KeyFile) -> None:
@@ -210,7 +250,7 @@ def cmd_encrypt(args) -> int:
         nonce = _fresh_nonce()
         header = ContainerHeader(order=256, m=args.block, nonce=nonce, count=size).pack()
         session = CipherSession(kf.key, kf.seed, nonce, args.block, engine=args.engine)
-        with open(args.out, "wb") as dst:
+        with _replacing(args.out) as dst:
             dst.write(header)
             crc = _stream(src, dst, size, session.encrypt_message, plain_in=True)
             _read_to_end(src, 0)
@@ -230,12 +270,14 @@ def cmd_decrypt(args) -> int:
             return _fail(EXIT_FORMAT, f"container needs more keystream than one nonce "
                                       f"covers ({keystream.BYTE_CAP} bytes)")
         session = CipherSession(kf.key, kf.seed, header.nonce, header.m, engine=args.engine)
-        with open(args.out, "wb") as dst:
+        with _replacing(args.out) as dst:
             crc = _stream(src, dst, header.count, session.decrypt_message, plain_in=False)
-        (stored_crc,) = CRC_TRAILER.unpack(_read_to_end(src, CRC_TRAILER.size))
+            (stored_crc,) = CRC_TRAILER.unpack(_read_to_end(src, CRC_TRAILER.size))
     if crc != stored_crc:
         print("warning: diagnostic plaintext checksum mismatch (wrong key, "
-              "tampering, or corruption); output written anyway", file=sys.stderr)
+              "tampering, or corruption); output written anyway; "
+              "`lsqcipher inspect KEY` prints a fingerprint to compare keys by",
+              file=sys.stderr)
         return EXIT_CHECKSUM
     print(f"decrypted {header.count} bytes -> {args.out}")
     return 0
@@ -245,11 +287,13 @@ def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
-            kf = _read_key(fh, head)
+            data = _key_bytes(fh, head)
+            kf = read_key(data)
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")
             print("checksum: ok")
+            print(f"fingerprint: {key_fingerprint(data)}")
         elif head[:len(CONTAINER_MAGIC)] == CONTAINER_MAGIC:
             st = os.fstat(fh.fileno())
             if not stat.S_ISREG(st.st_mode):  # a pipe has no size to frame it by

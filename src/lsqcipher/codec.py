@@ -8,6 +8,7 @@ layout of the transition / Cayley table.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -165,6 +166,13 @@ def read_key(data: bytes) -> KeyFile:
     except (RowViolation, ColViolation, DimensionMismatch, OrderTooSmall) as exc:
         raise NotLatin(f"key table is not a Latin square: {exc}") from None
     return KeyFile(key=KeyAutomaton(order, square), seed=seed)
+
+
+def key_fingerprint(data) -> str:
+    """16 hex digits naming a key: the first 8 bytes of SHA-256 over the key
+    file `data` up to its CRC trailer. Two files of one key share it, and
+    keys that differ only in their keystream seed do not."""
+    return hashlib.sha256(memoryview(data)[:-CRC_TRAILER.size]).hexdigest()[:16]
 
 
 def check_symbols(symbols: np.ndarray, order: int) -> None:

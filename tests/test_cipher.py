@@ -320,6 +320,37 @@ def test_working_memory_independent_of_length(n):
     assert max(extra) < 16 << 20
 
 
+def test_kernel_holds_one_chunk_of_blocks(key256):
+    # At order 256 and m=16 a chunk's keystream and its (m, c) copy are
+    # 1 MiB each, and with the index buffer the kernel's working memory
+    # reads about 2.1 MiB; keeping the last chunk's copy alive while the
+    # next one is made reads about 3.1 MiB.
+    msg = np.random.default_rng(7).integers(0, 256, 1 << 20).astype(np.uint8)
+    s = CipherSession(key256, SEED, NONCE, 16)
+    tracemalloc.start()
+    try:
+        ct = s.encrypt_message(msg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ct.nbytes < 2.5 * (1 << 20), (peak - ct.nbytes) / (1 << 20)
+
+
+@pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_caller_symbols_read_in_place_and_never_written(key256, method, m):
+    # The kernel's first round reads the caller's array in place, across two
+    # chunks here: a read-only or an int64 array gives the bytes of the
+    # uint8 array and comes back as it was.
+    msg = np.random.default_rng(11).integers(0, 256, 65536 + 3).astype(np.uint8)
+    want = getattr(session(key256, m=m), method)(msg)
+    for given in (np.frombuffer(msg.tobytes(), dtype=np.uint8), msg.astype(np.int64), msg):
+        saved = given.copy()
+        got = getattr(session(key256, m=m), method)(given)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(given, saved)
+
+
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),
        nonce=st.binary(min_size=12, max_size=12),
        engine=st.sampled_from(["fa", "qg"]))

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -396,6 +397,123 @@ class TestNonceCap:
         assert out.exists() == (code == 0)
 
 
+def files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestOutputReplaced:
+    """encrypt and decrypt write a new file beside --out and rename it over
+    --out when the stream has ended, so a run that fails leaves --out as it
+    was: the old file, or no file."""
+
+    OLD = b"the previous output" * 50
+
+    @pytest.fixture(params=["existing", "new"])
+    def out(self, request, tmp_path):
+        out = tmp_path / "out"
+        if request.param == "existing":
+            out.write_bytes(self.OLD)
+        return out
+
+    @pytest.mark.parametrize("drift", [-5, 5])
+    def test_input_size_change_leaves_out(self, tmp_path, keyfile, monkeypatch, out, drift):
+        # the fake of TestStreamingInput::test_input_size_change_is_io_error
+        src = tmp_path / "plain"
+        src.write_bytes(os.urandom(3 * MIB))
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            if st.st_ino != src.stat().st_ino:
+                return st
+            return os.stat_result((*st[:6], st.st_size - drift, *st[7:10]))
+        before = files(tmp_path)
+        monkeypatch.setattr(os, "fstat", fstat)
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                     "--out", str(out)]) == EXIT_IO
+        assert files(tmp_path) == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_failed_write_leaves_out(self, tmp_path, keyfile, out, command):
+        # A child process may write no file past 1 MiB, so writing a 3 MiB
+        # output raises OSError (EFBIG) partway, as a full disk would.
+        child = ("import resource, signal, sys\n"
+                 "from lsqcipher.cli import main\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+                 "                   (1 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+        src = tmp_path / "plain"
+        src.write_bytes(os.urandom(3 * MIB))
+        if command == "decrypt":
+            ct = tmp_path / "ct"
+            assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                         "--out", str(ct)]) == 0
+            src = ct
+        before = files(tmp_path)
+        proc = subprocess.run([sys.executable, "-c", child, command, "--key", str(keyfile),
+                               "--in", str(src), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "File too large" in proc.stderr
+        assert files(tmp_path) == before
+
+    def test_checksum_mismatch_output_is_complete(self, tmp_path, keyfile, out, capsys):
+        src, ct, other = tmp_path / "plain", tmp_path / "ct", tmp_path / "other.key"
+        src.write_bytes(os.urandom(200_003))
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct)]) == 0
+        assert main(["keygen", "-n", "256", "--out", str(other)]) == 0
+        names = set(files(tmp_path)) | {out.name}
+        capsys.readouterr()
+        assert main(["decrypt", "--key", str(other), "--in", str(ct),
+                     "--out", str(out)]) == EXIT_CHECKSUM
+        assert "`lsqcipher inspect KEY` prints a fingerprint" in capsys.readouterr().err
+        assert set(files(tmp_path)) == names
+        assert len(out.read_bytes()) == 200_003
+
+    def test_symlinked_out_keeps_its_link(self, tmp_path, keyfile):
+        src, target, link = tmp_path / "plain", tmp_path / "target", tmp_path / "link"
+        src.write_bytes(b"abc")
+        target.write_bytes(self.OLD)
+        link.symlink_to(target)
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert read_container(target.read_bytes()).payload.size == 3
+        assert sorted(files(tmp_path)) == ["link", "plain", "target", "test.key"]
+
+    def test_modes(self, tmp_path, keyfile):
+        # a new --out gets the mode open(path, "wb") gives; a replaced one
+        # keeps its permission bits
+        src, new, old, ref = (tmp_path / name for name in ("plain", "new", "old", "ref"))
+        src.write_bytes(b"abc")
+        ref.write_bytes(b"")
+        old.write_bytes(self.OLD)
+        old.chmod(0o640)
+        for out in (new, old):
+            assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                         "--out", str(out)]) == 0
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+    def test_hard_link_keeps_the_old_content(self, tmp_path, keyfile):
+        src, out, link = tmp_path / "plain", tmp_path / "out", tmp_path / "link"
+        src.write_bytes(b"abc")
+        out.write_bytes(self.OLD)
+        os.link(out, link)
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(out)]) == 0
+        assert link.read_bytes() == self.OLD
+        assert read_container(out.read_bytes()).payload.size == 3
+
+    def test_devnull_is_written_directly(self, tmp_path, keyfile):
+        src = tmp_path / "plain"
+        src.write_bytes(b"abc")
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                     "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 def test_encrypt_builds_no_inverse(tmp_path, keyfile, monkeypatch):
     def row_inverse(self):
         raise AssertionError("encrypt built a row inverse")
@@ -413,6 +531,30 @@ class TestInspect:
         assert "key file" in out
         assert "order: 256" in out
         assert "latin: valid" in out
+
+    def test_key_fingerprint_pinned(self, keyfile, capsys):
+        assert main(["inspect", str(keyfile)]) == 0
+        assert "fingerprint: ae2c8c6eb627ef8a\n" in capsys.readouterr().out
+
+    def test_keystream_seed_changes_fingerprint(self, tmp_path, keyfile, capsys):
+        other = tmp_path / "other.key"
+        assert main(["keygen", "-n", "256", "--table-seed", "aa55",
+                     "--keystream-seed", "11" * 32, "--out", str(other)]) == 0
+        prints = []
+        for key in (keyfile, other):
+            capsys.readouterr()
+            assert main(["inspect", str(key)]) == 0
+            prints += [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("fingerprint: ")]
+        assert len(prints) == 2 and prints[0] != prints[1]
+
+    def test_corrupt_key_has_no_fingerprint(self, tmp_path, keyfile, capsys):
+        blob = bytearray(keyfile.read_bytes())
+        blob[100] ^= 0xFF
+        bad = tmp_path / "bad.key"
+        bad.write_bytes(bytes(blob))
+        assert main(["inspect", str(bad)]) == EXIT_FORMAT
+        assert "fingerprint" not in capsys.readouterr().out
 
     def test_key_through_pipe(self, tmp_path, keyfile, capsys):
         # a FIFO cannot seek back to the header inspect has already read

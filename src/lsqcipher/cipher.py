@@ -8,10 +8,19 @@ Messages go through one vectorised kernel, `_chain`; the scalar readings
 (`KeyAutomaton.last_state`, `fold_mul`, `fold_left_div`) are its test
 oracles. Since c_i depends only on p_i and r_i, the kernel runs in fixed
 chunks of message symbols with narrow table indices, so its working memory
-does not grow with the message length. For the same reason a message may
-arrive in parts: `encrypt_message(part, final=False)` keeps the session
-open, and symbol i consumes block i however the message is split, so the
-parts concatenate to the ciphertext of one call.
+does not grow with the message length; a chunk also holds at most
+_CHUNK_KEYSTREAM keystream symbols, so it does not grow with m either. For
+the same reason a message may arrive in parts:
+`encrypt_message(part, final=False)` keeps the session open, and symbol i
+consumes block i however the message is split, so the parts concatenate to
+the ciphertext of one call.
+
+Every flat index k * n + s the kernel gathers through is below n * n:
+message symbols are range-checked on entry, table entries when the key is
+validated, and keystream symbols once per chunk. So the gather runs in
+NumPy's "clip" mode, which never clamps here; its default "raise" mode
+would gather into a fresh copy of the output and copy it back on every
+round.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ ENGINES = ("fa", "qg")
 
 # Message symbols per pass of the kernel: bounds its working memory.
 _CHUNK = 1 << 16
+# Keystream symbols per pass at most: bounds that memory for every m.
+_CHUNK_KEYSTREAM = 1 << 20
 
 
 class CipherSession:
@@ -111,26 +122,39 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     k. `reverse` feeds blocks mirrored (decryption).
 
     Symbol i depends only on start[i] and block i, so the message goes
-    through in chunks of _CHUNK symbols, each reading its c * m keystream
-    symbols in one `take` and laying them out as (m, c), which at m = 1 is
-    the keystream array itself. Each round builds its flat indices
-    k * n + state in one reused buffer of the narrowest type that holds
-    them and gathers into the output slice, so working memory is bounded by
-    the chunk, not by the message length. The first round reads the
-    caller's symbols in place and never writes them.
+    through in chunks of c = min(_CHUNK, _CHUNK_KEYSTREAM // m) symbols (at
+    least one), each reading its c * m keystream symbols in one `take` and
+    laying them out as (m, c), which at m = 1 is the keystream array itself.
+    Each round builds its flat indices k * n + state in one reused buffer of
+    the narrowest type that holds them and gathers into the output slice, so
+    working memory is bounded by the chunk, not by the message length or m.
+    The first round reads the caller's symbols in place and never writes
+    them.
+
+    Invariant: every index is below n * n. The caller's symbols and the
+    table's entries lie in [0, n), and each chunk's keystream symbols are
+    checked against [0, n) before its first round; the check scans nothing
+    for one-byte symbols at order 256. This check is also what catches a bad
+    keystream symbol: at order 256, k * 256 would wrap inside the uint16
+    index unseen. With the invariant the gather runs in "clip" mode, which
+    then never clamps, and which writes straight into `out`: the default
+    "raise" mode gathers into a temporary copy of `out` and copies it back.
     """
     n = table.shape[0]
     flat = table.reshape(-1)
     idx_dtype = _index_dtype(n)
     width = idx_dtype.type(n)
+    chunk = min(_CHUNK, max(1, _CHUNK_KEYSTREAM // m))
     out = np.empty(len(start), dtype=table.dtype)
-    index_buf = np.empty(min(_CHUNK, len(start)), dtype=idx_dtype)
+    index_buf = np.empty(min(chunk, len(start)), dtype=idx_dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
-    for lo in range(0, len(start), _CHUNK):
-        state = start[lo:lo + _CHUNK]
+    for lo in range(0, len(start), chunk):
+        state = start[lo:lo + chunk]
         c = len(state)
         # rebinding drops the last chunk's blocks before this chunk's copy
         blocks = stream.take(c * m)
+        if not all_symbols(blocks, n):
+            raise ValueError(f"keystream symbols must lie in [0, {n})")
         blocks = np.ascontiguousarray(blocks.reshape(c, m).T)
         index = index_buf[:c]
         for j in rounds:
@@ -139,5 +163,5 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
             np.multiply(blocks[j], width, out=index, dtype=idx_dtype,
                         casting="unsafe")
             np.add(index, state, out=index, casting="unsafe")
-            state = np.take(flat, index, out=out[lo:lo + c])
+            state = np.take(flat, index, out=out[lo:lo + c], mode="clip")
     return out

@@ -176,11 +176,14 @@ def key_fingerprint(data) -> str:
 
 
 def check_symbols(symbols: np.ndarray, order: int) -> None:
-    """Raise OutOfRange unless every payload symbol lies in [0, order).
+    """Raise OutOfRange unless every payload symbol is an integer in
+    [0, order), as messages must be.
 
     Scans nothing when the dtype holds no value outside that range, as at
     order 256 with one-byte symbols.
     """
+    if symbols.size and not np.issubdtype(symbols.dtype, np.integer):
+        raise OutOfRange(f"payload symbols must be integers, got {symbols.dtype}")
     if latin.all_symbols(symbols, order):
         return
     if symbols.max() >= order:

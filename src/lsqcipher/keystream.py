@@ -4,7 +4,7 @@ The long-term 32-byte seed keys ChaCha20; a 12-byte per-message nonce gives
 each message its own stream. Every symbol comes from one generator word in
 the symbol wire format. Non-power-of-two orders use rejection sampling on
 the words, so no symbol carries modulo bias; power-of-two orders mask, and
-order 256 passes raw bytes through.
+the orders that fill the word, 256 and 65536, pass raw words through.
 
 The remainder of an accepted word is taken as `w - (w // n) * n`, not as
 `w % n`: NumPy divides an integer array by a scalar in SIMD but computes
@@ -30,7 +30,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .errors import InvalidSpec, StreamExhausted
-from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
+from .latin import MAX_ORDER, holds_only_symbols, symbol_dtype, symbol_wire_dtype
 
 SEED_BYTES = 32
 NONCE_BYTES = 12
@@ -92,6 +92,8 @@ class KeystreamReader:
         self._dtype = symbol_dtype(n)
         self._wire = symbol_wire_dtype(n)
         self._pow2 = n & (n - 1) == 0
+        # at orders that fill the word (256, 65536) every word is a symbol
+        self._mask = not holds_only_symbols(self._dtype, n)
         space = 1 << (8 * self._dtype.itemsize)
         self._limit = space - space % n
 
@@ -122,7 +124,8 @@ class KeystreamReader:
         raw = self._raw_words(words)
         n = self.spec.order
         if self._pow2:
-            raw &= n - 1  # identity when n fills the word
+            if self._mask:
+                raw &= n - 1
             return raw
         kept = raw[raw < self._limit]
         self.rejected += words - len(kept)

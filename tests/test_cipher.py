@@ -320,13 +320,15 @@ def test_working_memory_independent_of_length(n):
     assert max(extra) < 16 << 20
 
 
-def test_kernel_holds_one_chunk_of_blocks(key256):
-    # At order 256 and m=16 a chunk's keystream and its (m, c) copy are
+@pytest.mark.parametrize("m, length", [(16, 1 << 20), (500, 1 << 16)])
+def test_kernel_holds_one_chunk_of_blocks(key256, m, length):
+    # At order 256 a chunk's keystream and its (m, c) copy are at most
     # 1 MiB each, and with the index buffer the kernel's working memory
     # reads about 2.1 MiB; keeping the last chunk's copy alive while the
-    # next one is made reads about 3.1 MiB.
-    msg = np.random.default_rng(7).integers(0, 256, 1 << 20).astype(np.uint8)
-    s = CipherSession(key256, SEED, NONCE, 16)
+    # next one is made reads about 3.1 MiB. A chunk of 65536 symbols at
+    # m=500 would read about 62 MiB.
+    msg = np.random.default_rng(7).integers(0, 256, length).astype(np.uint8)
+    s = CipherSession(key256, SEED, NONCE, m)
     tracemalloc.start()
     try:
         ct = s.encrypt_message(msg)
@@ -334,6 +336,23 @@ def test_kernel_holds_one_chunk_of_blocks(key256):
     finally:
         tracemalloc.stop()
     assert peak - ct.nbytes < 2.5 * (1 << 20), (peak - ct.nbytes) / (1 << 20)
+
+
+@pytest.mark.parametrize("n", [5, 256, 300, 1000])
+@pytest.mark.parametrize("bad", ["n", -1])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_keystream_symbol_outside_order_refused(n, bad, reverse):
+    # Every flat index k * n + s must stay below n * n for the clip-mode
+    # gather. At order 256, k = 256 or -1 would wrap inside the uint16 index
+    # and give output; at the other orders NumPy would raise IndexError.
+    bad = n if bad == "n" else bad
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    table = table.astype(symbol_dtype(n))
+    m, start = 3, np.arange(4) % n
+    stream = [1] * (len(start) * m)
+    stream[7] = bad
+    with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
+        cipher._chain(table, start, ForcedStream(stream), m, reverse)
 
 
 @pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])

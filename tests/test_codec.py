@@ -260,6 +260,8 @@ class TestContainer:
         (256, np.array([1, 300], dtype=np.uint16)),  # would be stored as 44
         (300, np.array([0, -1], dtype=np.int32)),    # would be stored as 65535
         (300, np.array([299, 300], dtype=np.uint16)),
+        (256, np.array([1.5, 2.7])),                 # would be stored as [1, 2]
+        (256, np.array([True, False])),
     ])
     def test_symbol_not_below_order_refused_on_write(self, order, payload):
         with pytest.raises(OutOfRange):

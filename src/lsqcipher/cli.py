@@ -5,11 +5,13 @@ through one multi-part message of a CipherSession, so their memory does not
 grow with the file. The input must be a regular file, whose size fixes the
 container header before any output is written, and the output must be
 neither the input nor the key file. A run that needs more keystream than
-one nonce covers is refused before the output is opened. The output is
-written to a temporary file beside the file `--out` resolves to and renamed
-over it only when the stream has ended, so a run that fails leaves `--out`
-as it was; an `--out` that exists and is not a regular file, such as
-/dev/null, is written directly.
+one nonce covers is refused before the output is opened.
+
+Every command that writes `--out`, keygen as well as encrypt and decrypt,
+writes a temporary file beside the file `--out` resolves to and renames it
+over that file only when the output is complete, so a run that fails leaves
+`--out` as it was; an `--out` that exists and is not a regular file, such
+as /dev/null, is written directly.
 
 A key, named by `--key` or given to `inspect`, is read from a file or a
 pipe only after its header: the size the header gives must match a regular
@@ -229,8 +231,8 @@ def cmd_keygen(args) -> int:
         return _fail(EXIT_USAGE, f"keystream seed must be {SEED_BYTES} bytes")
     square = generate_latin(args.order, table_seed, walk_steps=args.walk_steps)
     kf = KeyFile(key=KeyAutomaton(square.order, square), seed=ks_seed)
-    with open(args.out, "wb") as fh:
-        fh.write(write_key(kf))
+    with _replacing(args.out) as dst:
+        dst.write(write_key(kf))
     print(f"wrote key: order={args.order} walk_steps={args.walk_steps} -> {args.out}")
     return 0
 

@@ -193,13 +193,7 @@ def _seeded_rng(order: int, seed: bytes, tag: bytes) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def generate_latin(
-    order: int,
-    seed: bytes,
-    walk_steps: int = 0,
-    *,
-    _perms: tuple[Sequence[int], Sequence[int], Sequence[int]] | None = None,
-) -> LatinSquare:
+def generate_latin(order: int, seed: bytes, walk_steps: int = 0) -> LatinSquare:
     """Deterministically derive a Latin square from (order, seed, walk_steps).
 
     Construction: a seeded isotopy of the cyclic table (x + a) mod n —
@@ -210,8 +204,6 @@ def generate_latin(
     window over the doubled symbol permutation, and the walk runs on it in
     place, so the construction's peak memory is the table. Uniformity over
     all Latin squares is not claimed.
-
-    `_perms` is a test hook overriding the three sampled permutations.
     """
     if order < 2:
         raise OrderTooSmall(f"order {order} < 2")
@@ -219,16 +211,13 @@ def generate_latin(
         raise DimensionMismatch(f"key order {order} > {MAX_KEY_ORDER} unsupported")
     if walk_steps < 0:
         raise ValueError("walk steps must be >= 0")
-    if _perms is None:
-        rng = _seeded_rng(order, seed, b"lsq-isotopy")
-        row_p = list(range(order))
-        col_p = list(range(order))
-        sym_p = list(range(order))
-        rng.shuffle(row_p)
-        rng.shuffle(col_p)
-        rng.shuffle(sym_p)
-    else:
-        row_p, col_p, sym_p = (list(p) for p in _perms)
+    rng = _seeded_rng(order, seed, b"lsq-isotopy")
+    row_p = list(range(order))
+    col_p = list(range(order))
+    sym_p = list(range(order))
+    rng.shuffle(row_p)
+    rng.shuffle(col_p)
+    rng.shuffle(sym_p)
     # window[r, c] = sym_p[(r + c) % order], a view of the doubled permutation
     window = sliding_window_view(np.asarray(sym_p + sym_p, dtype=symbol_dtype(order)), order)
     table = window[np.ix_(row_p, col_p)]

@@ -401,10 +401,26 @@ def files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
+# A child process that runs the CLI but may write no file past 1 MiB, so
+# writing a larger output raises OSError (EFBIG) partway, as a full disk would.
+FSIZE_LIMITED_CLI = ("import resource, signal, sys\n"
+                     "from lsqcipher.cli import main\n"
+                     "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                     "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+                     "                   (1 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+                     "sys.exit(main(sys.argv[1:]))\n")
+
+
+def run_fsize_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", FSIZE_LIMITED_CLI, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 class TestOutputReplaced:
-    """encrypt and decrypt write a new file beside --out and rename it over
-    --out when the stream has ended, so a run that fails leaves --out as it
-    was: the old file, or no file."""
+    """keygen, encrypt and decrypt write a new file beside --out and rename
+    it over --out when the output is complete, so a run that fails leaves
+    --out as it was: the old file, or no file."""
 
     OLD = b"the previous output" * 50
 
@@ -436,15 +452,6 @@ class TestOutputReplaced:
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE and SIGXFSZ")
     @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
     def test_failed_write_leaves_out(self, tmp_path, keyfile, out, command):
-        # A child process may write no file past 1 MiB, so writing a 3 MiB
-        # output raises OSError (EFBIG) partway, as a full disk would.
-        child = ("import resource, signal, sys\n"
-                 "from lsqcipher.cli import main\n"
-                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
-                 "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
-                 "                   (1 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
-                 "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
         src = tmp_path / "plain"
         src.write_bytes(os.urandom(3 * MIB))
         if command == "decrypt":
@@ -453,11 +460,28 @@ class TestOutputReplaced:
                          "--out", str(ct)]) == 0
             src = ct
         before = files(tmp_path)
-        proc = subprocess.run([sys.executable, "-c", child, command, "--key", str(keyfile),
-                               "--in", str(src), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
+        proc = run_fsize_limited([command, "--key", str(keyfile), "--in", str(src),
+                                  "--out", str(out)])
         assert proc.returncode == EXIT_IO, proc.stderr
         assert "File too large" in proc.stderr
+        assert files(tmp_path) == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+    def test_failed_keygen_write_leaves_out(self, tmp_path, out):
+        # an order-1024 key file is 2 MiB
+        before = files(tmp_path)
+        proc = run_fsize_limited(["keygen", "-n", "1024", "--out", str(out)])
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "File too large" in proc.stderr
+        assert files(tmp_path) == before
+
+    def test_keygen_failing_to_build_the_key_leaves_out(self, tmp_path, out, monkeypatch):
+        def write_key(kf):
+            raise MemoryError
+        monkeypatch.setattr("lsqcipher.cli.write_key", write_key)
+        before = files(tmp_path)
+        with pytest.raises(MemoryError):
+            main(["keygen", "--out", str(out)])
         assert files(tmp_path) == before
 
     def test_checksum_mismatch_output_is_complete(self, tmp_path, keyfile, out, capsys):

@@ -282,10 +282,16 @@ class TestKeyOrderCeiling:
 
 
 class TestGenerate:
-    def test_identity_isotopy_is_cyclic(self):
-        ident = list(range(3))
-        sq = generate_latin(3, b"S", _perms=(ident, ident, ident))
-        assert sq.entries.tolist() == cyclic_table(3)
+    def test_isotopy_of_the_cyclic_table(self):
+        # entry (r, c) is sym_p[(row_p[r] + col_p[c]) % n], for the row,
+        # column and symbol permutations drawn in that order from the seed
+        for n in (3, 7, 256):
+            rng = _seeded_rng(n, b"S", b"lsq-isotopy")
+            row_p, col_p, sym_p = list(range(n)), list(range(n)), list(range(n))
+            for perm in (row_p, col_p, sym_p):
+                rng.shuffle(perm)
+            expect = [[sym_p[(row_p[r] + col_p[c]) % n] for c in range(n)] for r in range(n)]
+            assert generate_latin(n, b"S").entries.tolist() == expect
 
     def test_big_order_is_latin(self):
         sq = generate_latin(256, b"S")

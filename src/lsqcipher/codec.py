@@ -192,6 +192,8 @@ def check_symbols(symbols: np.ndarray, order: int) -> None:
 
 
 def write_container(ct: CipherContainer) -> bytes:
+    if ct.payload.ndim != 1:
+        raise LengthMismatch(f"payload must be 1-D, got shape {ct.payload.shape}")
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
     check_symbols(ct.payload, ct.order)
     wire = ct.payload.astype(symbol_wire_dtype(ct.order), copy=False)

@@ -101,8 +101,11 @@ def _line_offsets(entries: np.ndarray, columns: bool):
 class LatinSquare:
     """An n x n table in which every row and every column is a permutation.
 
-    Instances are only produced by :func:`validate_latin` or
-    :func:`generate_latin`, so holding a LatinSquare is a certificate. The
+    Certified squares come from :func:`validate_latin` and
+    :func:`generate_latin`. Direct construction checks that `entries` is an
+    (order, order) array of symbol_dtype(order) with every entry in
+    [0, order), so that no lookup through it leaves the table, and raises
+    DimensionMismatch otherwise; it does not check the Latin property. The
     square owns its read-only entries, so they cannot change after the check.
     """
 
@@ -110,7 +113,12 @@ class LatinSquare:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        n, entries = self.order, self.entries
+        if not (isinstance(entries, np.ndarray) and entries.shape == (n, n)
+                and entries.dtype == symbol_dtype(n) and all_symbols(entries, n)):
+            raise DimensionMismatch(f"entries must be a ({n}, {n}) array of "
+                                    f"{symbol_dtype(n)} in [0, {n})")
+        entries.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatinSquare):

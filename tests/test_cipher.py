@@ -190,6 +190,16 @@ class TestMessages:
         with pytest.raises(ValueError, match="integers"):
             session(key256).decrypt_message(message)
 
+    @pytest.mark.parametrize("message", [np.zeros((2, 3), dtype=np.uint8), [[0, 1], [1, 0]],
+                                         np.uint8(3), np.zeros(0, dtype=np.uint8)[None]])
+    def test_message_not_1d_rejected(self, key256, message):
+        # a 2-D array would broadcast against the keystream, a scalar not
+        # iterate
+        with pytest.raises(ValueError, match="1-D"):
+            session(key256).encrypt_message(message)
+        with pytest.raises(ValueError, match="1-D"):
+            session(key256).decrypt_message(message)
+
     @pytest.mark.parametrize("message", [np.array([1.5, 2.9]), [1.5, 2.9]])
     def test_non_integer_symbols_rejected(self, key256, message):
         # a cast would truncate them to [1, 2] and encrypt that instead

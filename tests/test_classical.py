@@ -102,6 +102,10 @@ class TestLearning:
         with pytest.raises(InconsistentPairs):
             known_plaintext_learn(4, pairs)
 
+    def test_unequal_pair_lengths(self):
+        with pytest.raises(InconsistentPairs, match="lengths differ"):
+            known_plaintext_learn(3, [([0, 1, 2], [0, 1])])
+
 
 class TestAttackDecrypt:
     def test_full_knowledge_equals_decrypt(self):
@@ -132,6 +136,17 @@ class TestAttackDecrypt:
                 assert got[i] == lc.q.left_div(0, ct[i])
             else:
                 assert got[i] == UNKNOWN
+
+    def test_single_leader_candidate_decodes_position_one(self, z3_leader):
+        # every pair starts 0 -> 2 * 0 = 2, which leaves leader 2 alone, and
+        # together they teach every cell; a c_1 never seen first then
+        # decodes through the leader's row
+        msgs = [[0, *m] for m in itertools.product(range(3), repeat=2)]
+        know = known_plaintext_learn(3, [(m, z3_leader.encrypt(m)) for m in msgs])
+        assert know.leader_candidates == {2}
+        ct = z3_leader.encrypt([1, 2])
+        assert ct[0] not in know.first_symbol.values()
+        assert attack_decrypt(know, ct) == [1, 2]
 
     def test_recovery_accuracy_n16(self, rng):
         n = 16

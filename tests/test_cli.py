@@ -98,6 +98,12 @@ class TestKeygen:
         assert "walk steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_short_keystream_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "k"
+        assert main(["keygen", "--keystream-seed", "11" * 31, "--out", str(out)]) == EXIT_USAGE
+        assert "keystream seed must be 32 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncryptDecrypt:
     def roundtrip(self, tmp_path, keyfile, data, extra=()):
@@ -163,6 +169,15 @@ class TestEncryptDecrypt:
         assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
                      "--out", str(out), "-m", m]) == EXIT_USAGE
         assert not out.exists()
+
+    def test_short_forced_nonce_is_usage_error(self, tmp_path, keyfile, monkeypatch, capsys):
+        monkeypatch.setenv(FORCE_NONCE_ENV, FORCED_NONCE[:-2])
+        src, ct = tmp_path / "plain", tmp_path / "ct"
+        src.write_bytes(b"abc")
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                     "--out", str(ct)]) == EXIT_USAGE
+        assert f"{FORCE_NONCE_ENV} must be 12 hex-encoded bytes" in capsys.readouterr().err
+        assert not ct.exists()
 
     def test_encrypt_needs_order_256_key(self, tmp_path):
         key, src, out = tmp_path / "k16", tmp_path / "p", tmp_path / "ct"

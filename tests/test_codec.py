@@ -268,6 +268,17 @@ class TestContainer:
             write_container(CipherContainer(order=order, m=1, nonce=NONCE, payload=payload,
                                             plaintext_crc=0))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 0), ()])
+    def test_payload_not_1d_refused_on_write(self, shape):
+        # a (2, 3) payload would be written with count 2 and 6 symbols
+        with pytest.raises(LengthMismatch, match="1-D"):
+            write_container(CipherContainer(order=256, m=1, nonce=NONCE, plaintext_crc=0,
+                                            payload=np.zeros(shape, dtype=np.uint8)))
+
+    def test_short_nonce_refused(self):
+        with pytest.raises(LengthMismatch, match="nonce"):
+            ContainerHeader(order=256, m=1, nonce=bytes(11), count=0)
+
     @pytest.mark.parametrize("order", [0, 1, 65537])
     def test_order_out_of_range_refused_on_write(self, order):
         with pytest.raises(OutOfRange):

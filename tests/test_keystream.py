@@ -146,6 +146,11 @@ class TestRejectionOracle:
         assert reader.rejected == 0
 
 
+def test_negative_take_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        KeystreamReader(spec()).take(-1)
+
+
 class TestExactReads:
     @pytest.mark.parametrize("order, width", [(200, 1), (256, 1), (300, 2)])
     def test_bytes_read_ends_at_last_accepted_word(self, order, width):

@@ -15,6 +15,7 @@ from lsqcipher.errors import (
 )
 from lsqcipher.latin import (
     MAX_KEY_ORDER,
+    LatinSquare,
     Quasigroup,
     _block_lines,
     _seeded_rng,
@@ -124,6 +125,10 @@ class TestValidate:
         with pytest.raises(OrderTooSmall):
             validate_latin([[0]])
 
+    def test_float_table_refused(self):
+        with pytest.raises(DimensionMismatch, match="integers"):
+            validate_latin(np.array(cyclic_table(3), dtype=float))
+
     def test_ragged_rows(self):
         with pytest.raises(DimensionMismatch):
             validate_latin([[0, 1], [1]])
@@ -140,6 +145,29 @@ class TestValidate:
         arr = np.array(cyclic_table(3), dtype=np.uint8)
         validate_latin(arr)
         assert arr.flags.writeable
+
+
+class TestDirectConstruction:
+    """LatinSquare(order, entries) checks shape, width and range, so a table
+    lookup through any square stays inside the table; it does not check the
+    Latin property."""
+
+    @pytest.mark.parametrize("order, entries", [
+        (2, np.array([[0, 5], [5, 0]], dtype=np.uint8)),     # an entry not below the order
+        (300, np.full((300, 300), 300, dtype=np.uint16)),
+        (3, np.array([[0, 1], [1, 0]], dtype=np.uint8)),     # not order x order
+        (2, np.array([0, 1, 1, 0], dtype=np.uint8)),
+        (2, np.array([[0, 1], [1, 0]], dtype=np.int64)),     # not the symbol width
+        (300, np.zeros((300, 300), dtype=">u2")),
+        (2, [[0, 1], [1, 0]]),                               # not an array
+    ])
+    def test_refused(self, order, entries):
+        with pytest.raises(DimensionMismatch, match="array of"):
+            LatinSquare(order, entries)
+
+    def test_checks_no_latin_property(self):
+        sq = LatinSquare(2, np.zeros((2, 2), dtype=np.uint8))
+        assert not sq.entries.flags.writeable
 
 
 class TestViolationNaming:

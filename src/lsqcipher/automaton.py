@@ -61,14 +61,8 @@ class KeyAutomaton:
         return Trajectory(a, tuple(int(x) for x in w), tuple(states))
 
     def last_state(self, a: int, w: Sequence[int]) -> int:
-        """Last state of run(a, w) without materializing the trajectory."""
-        if len(w) == 0:
-            raise EmptyInput("last state of the empty word is undefined")
-        t = self.delta.entries
-        cur = a
-        for x in w:
-            cur = t[x, cur]
-        return int(cur)
+        """The last state of run(a, w); EmptyInput for the empty word."""
+        return self.run(a, w).last()
 
     def invert(self) -> "KeyAutomaton":
         """The unique automaton B with delta_B(delta(a, b), b) = a.
@@ -88,6 +82,4 @@ class KeyAutomaton:
 def reverse_run(a_inv: KeyAutomaton, b_n: int, w: Sequence[int]) -> int:
     """The paper's decryption: last state of running the reversed word on
     A^-1. A scalar oracle; messages decrypt through `cipher._chain`."""
-    if len(w) == 0:
-        raise EmptyInput("reverse_run needs a nonempty word")
-    return a_inv.last_state(b_n, list(reversed(list(w))))
+    return a_inv.last_state(b_n, tuple(w)[::-1])

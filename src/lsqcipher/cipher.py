@@ -95,12 +95,10 @@ def _as_symbols(seq, order: int) -> np.ndarray:
     """The message as a 1-D array, without copying an array or a byte string.
 
     Values are scanned only if the dtype can hold one outside [0, order)."""
-    if isinstance(seq, (np.ndarray, np.generic)):
-        arr = np.asarray(seq)
-    elif isinstance(seq, (bytes, bytearray)):
+    if isinstance(seq, (bytes, bytearray)):
         arr = np.frombuffer(seq, dtype=np.uint8)
     else:
-        arr = np.asarray(list(seq))
+        arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError(f"a message must be a 1-D sequence of symbols, got shape {arr.shape}")
     if arr.size and not (np.issubdtype(arr.dtype, np.integer) and all_symbols(arr, order)):

@@ -318,10 +318,6 @@ def fold_mul(q: Quasigroup, ks: Sequence[int], p: int) -> int:
 
 
 def fold_left_div(q: Quasigroup, ks: Sequence[int], c: int) -> int:
-    """k_1 \\ ( ... \\ (k_{m-1} \\ (k_m \\ c)) ... ); inverts fold_mul."""
-    if len(ks) == 0:
-        raise EmptyKeyBlock("fold over empty keystream block")
-    acc = c
-    for k in reversed(ks):
-        acc = q.left_div(k, acc)
-    return acc
+    """k_1 \\ ( ... \\ (k_m \\ c) ... ), inverting fold_mul: fold_mul in the
+    left-division quasigroup over the mirrored block, as the kernel decrypts."""
+    return fold_mul(q.left_inverse(), ks[::-1], c)

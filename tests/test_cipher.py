@@ -191,10 +191,11 @@ class TestMessages:
             session(key256).decrypt_message(message)
 
     @pytest.mark.parametrize("message", [np.zeros((2, 3), dtype=np.uint8), [[0, 1], [1, 0]],
-                                         np.uint8(3), np.zeros(0, dtype=np.uint8)[None]])
+                                         np.uint8(3), np.zeros(0, dtype=np.uint8)[None],
+                                         5, (s for s in (0, 1))])
     def test_message_not_1d_rejected(self, key256, message):
-        # a 2-D array would broadcast against the keystream, a scalar not
-        # iterate
+        # a 2-D array would broadcast against the keystream; a scalar, and an
+        # iterator, which is not a sequence, convert to a 0-D array
         with pytest.raises(ValueError, match="1-D"):
             session(key256).encrypt_message(message)
         with pytest.raises(ValueError, match="1-D"):

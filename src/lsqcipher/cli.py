@@ -81,9 +81,9 @@ def _open_input(path: str, out: str, key: str):
     """Open the input of a streaming run that reads `key` and writes `out`.
 
     The input must be a regular file, so that its size is known before any
-    output is written. `out` must be neither the input, which opening for
-    writing would truncate before it is read, nor the key file, which it
-    would overwrite. All three are usage errors.
+    output is written. `out` must be neither the input nor the key file:
+    the finished output replaces `out`, so an in-place run would replace
+    its own input or key with its output. All three are usage errors.
     """
     st = os.stat(path)
     if not stat.S_ISREG(st.st_mode):

@@ -196,8 +196,9 @@ def write_container(ct: CipherContainer) -> bytes:
         raise LengthMismatch(f"payload must be 1-D, got shape {ct.payload.shape}")
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
     check_symbols(ct.payload, ct.order)
-    wire = ct.payload.astype(symbol_wire_dtype(ct.order), copy=False)
-    return header.pack() + wire.tobytes() + CRC_TRAILER.pack(ct.plaintext_crc)
+    # join reads the payload's buffer in place, so the bytes hold its one copy
+    wire = ct.payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
+    return b"".join((header.pack(), wire, CRC_TRAILER.pack(ct.plaintext_crc)))
 
 
 def read_container_header(data: bytes, size: int) -> ContainerHeader:

@@ -106,7 +106,10 @@ class LatinSquare:
     (order, order) array of symbol_dtype(order) with every entry in
     [0, order), so that no lookup through it leaves the table, and raises
     DimensionMismatch otherwise; it does not check the Latin property. The
-    square owns its read-only entries, so they cannot change after the check.
+    square owns its entries, read-only and in C order: an owned C-order
+    array is adopted and frozen, and any other array is copied, so a view
+    cannot change them after the check. A caller's other views of an
+    adopted array are not protected.
     """
 
     order: int
@@ -118,7 +121,9 @@ class LatinSquare:
                 and entries.dtype == symbol_dtype(n) and all_symbols(entries, n)):
             raise DimensionMismatch(f"entries must be a ({n}, {n}) array of "
                                     f"{symbol_dtype(n)} in [0, {n})")
+        entries = np.require(entries, requirements="CO")
         entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatinSquare):

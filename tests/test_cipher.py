@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsqcipher import cipher
+from lsqcipher.automaton import KeyAutomaton
 from lsqcipher.cipher import CipherSession
 from lsqcipher.errors import NonceReuse
 from lsqcipher.keystream import KeystreamReader, KeystreamSpec
-from lsqcipher.latin import fold_left_div, fold_mul, symbol_dtype
+from lsqcipher.latin import LatinSquare, fold_left_div, fold_mul, symbol_dtype
 
 from conftest import ForcedStream, random_automaton
 
@@ -329,6 +330,24 @@ def test_working_memory_independent_of_length(n):
         extra.append(peak - ct.nbytes)
     assert abs(extra[1] - extra[0]) < 1 << 20
     assert max(extra) < 16 << 20
+
+
+def test_fortran_order_key_costs_no_table_copy():
+    # The square holds a Fortran-order table in C order, so the kernel's
+    # flat view of it copies nothing: a copy of this order-1000 table
+    # would read 2,000,000 bytes.
+    n = 1000
+    square = random_automaton(n).delta
+    key = KeyAutomaton(n, LatinSquare(n, np.asfortranarray(square.entries)))
+    assert key.delta == square
+    s = CipherSession(key, SEED, NONCE, 4)
+    tracemalloc.start()
+    try:
+        s.encrypt_message(np.arange(100, dtype=np.uint16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
 
 
 @pytest.mark.parametrize("m, length", [(16, 1 << 20), (500, 1 << 16)])

@@ -739,6 +739,13 @@ class TestAttackDemo:
                      "--length", "32", "--contrast"]) == 0
         assert "InconsistentPairs" in capsys.readouterr().out
 
+    def test_contrast_mode_without_contradiction(self, capsys):
+        # two one-symbol messages give the rule two first-symbol observations,
+        # which at seed 0 do not clash
+        assert main(["attack-demo", "--contrast", "--messages", "2",
+                     "--length", "1", "--seed", "0"]) == 0
+        assert "no inconsistency observed" in capsys.readouterr().out
+
 
 # SHA-256 of the container the CLI writes for a fixed key, forced nonce and
 # plaintext, keyed by (plaintext bytes, m). The sizes sit on and around

@@ -31,7 +31,7 @@ from lsqcipher.errors import (
     UnsupportedVersion,
 )
 
-from lsqcipher.latin import MAX_KEY_ORDER
+from lsqcipher.latin import MAX_KEY_ORDER, symbol_dtype
 
 from conftest import cyclic_automaton, random_automaton
 
@@ -208,6 +208,12 @@ class TestContainer:
         payload = rng.integers(0, 256, 10_000, dtype=np.uint8)
         blob = write_container(container(payload=payload))
         assert blob[8 + 1 + 4 + 1 + 12 + 8:-4] == payload.tobytes()
+
+    @pytest.mark.parametrize("order", [256, 1000])
+    def test_strided_payload_written_in_order(self, rng, order):
+        payload = rng.integers(0, order, 2000).astype(symbol_dtype(order))[::2]
+        blob = write_container(container(order=order, payload=payload))
+        assert blob == write_container(container(order=order, payload=payload.copy()))
 
     def test_m_zero_rejected_on_write(self):
         with pytest.raises(LengthMismatch):

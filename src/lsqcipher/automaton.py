@@ -9,7 +9,7 @@ Cayley table, rows indexed by the left operand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .latin import LatinSquare, Quasigroup, validate_latin
@@ -47,18 +47,19 @@ class KeyAutomaton:
         """delta(a, x): next state from state a on input x."""
         return int(self.delta.entries[x, a])
 
-    def run(self, a: int, w: Sequence[int]) -> Trajectory:
+    def run(self, a: int, w: Iterable[int]) -> Trajectory:
         """The full state trajectory of reading word w from state a.
 
         An empty word yields an empty trajectory.
         """
         t = self.delta.entries
+        inputs = tuple(int(x) for x in w)  # one read, so an iterator word works
         states = []
         cur = a
-        for x in w:
+        for x in inputs:
             cur = int(t[x, cur])
             states.append(cur)
-        return Trajectory(a, tuple(int(x) for x in w), tuple(states))
+        return Trajectory(a, inputs, tuple(states))
 
     def last_state(self, a: int, w: Sequence[int]) -> int:
         """The last state of run(a, w); EmptyInput for the empty word."""
@@ -70,7 +71,8 @@ class KeyAutomaton:
         Each input row of the table is a permutation of the states; the
         inverse automaton's row is its inverse permutation. The table is the
         square's cached row inverse, shared with the quasigroup's left
-        division.
+        division. A key read by codec.read_key, whose default keeps the
+        inverse its certificate's row pass built, makes this a cache lookup.
         """
         return KeyAutomaton(self.order, self.delta.row_inverse())
 

@@ -41,8 +41,9 @@ _CHUNK_KEYSTREAM = 1 << 20
 
 
 class CipherSession:
-    """Single-message cipher state: a key and a keystream reader. The first
-    decrypt call builds the key's row inverse, which the key's square caches.
+    """Single-message cipher state: a key and a keystream reader. Decrypt
+    calls run on the key's row inverse: a key from codec.read_key holds it
+    already, and any other square builds it on the first call and caches it.
 
     A session is sequential: its stream position advances with every symbol.
     Message-level calls claim the whole session for one message in one

@@ -15,9 +15,12 @@ as /dev/null, is written directly.
 
 A key, named by `--key` or given to `inspect`, is read from a file or a
 pipe only after its header: the size the header gives must match a regular
-file's, and no more than one byte past it is read from a pipe. `inspect`
-prints a key's fingerprint, to tell keys apart by. It reads a container in
-parts; a container must be a regular file, whose size frames it.
+file's, and no more than one byte past it is read from a pipe.
+`encrypt` and `decrypt` refuse a key whose header gives an order other
+than 256 before they read its table, and only `decrypt` keeps the row
+inverse that key load can build. `inspect` prints a key's fingerprint, to
+tell keys apart by. It reads a container in parts; a container must be a
+regular file, whose size frames it.
 
 Exit codes: 0 success, 2 usage or out-of-range flag, 3 malformed key or
 container, 4 I/O failure, 5 decrypt diagnostic checksum mismatch.
@@ -51,6 +54,7 @@ from .codec import (
     check_symbols,
     key_file_size,
     key_fingerprint,
+    key_order,
     read_container,
     read_container_header,
     read_key,
@@ -204,14 +208,16 @@ def _key_bytes(fh, head: bytes = b"") -> memoryview:
     return buf[:got]
 
 
-def _load_key(path: str) -> KeyFile:
+def _load_byte_key(path: str, inverse: bool) -> KeyFile:
+    """The key at `path` for encrypt or decrypt, which operate on byte
+    files and need an order-256 key: a key of any other order is refused
+    from its header, before its table is read. `inverse` goes to read_key:
+    only decrypt runs on the row inverse."""
     with open(path, "rb") as fh:
-        return read_key(_key_bytes(fh))
-
-
-def _require_byte_key(kf: KeyFile) -> None:
-    if kf.order != 256:
-        raise ValueError("encrypt/decrypt operate on byte files and need an order-256 key")
+        head = fh.read(KEY_HEADER_BYTES)
+        if key_order(head) != 256:
+            raise ValueError("encrypt/decrypt operate on byte files and need an order-256 key")
+        return read_key(_key_bytes(fh, head), inverse=inverse)
 
 
 def _fresh_nonce() -> bytes:
@@ -238,8 +244,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    kf = _load_key(args.key)
-    _require_byte_key(kf)
+    kf = _load_byte_key(args.key, inverse=False)
     if not 1 <= args.block <= 255:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
     with _open_input(getattr(args, "in"), args.out, args.key) as src:
@@ -262,12 +267,11 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    kf = _load_key(args.key)
+    kf = _load_byte_key(args.key, inverse=True)
     with _open_input(getattr(args, "in"), args.out, args.key) as src:
         header = read_container_header(src.read(HEADER_BYTES), os.fstat(src.fileno()).st_size)
         if header.order != kf.order:
             return _fail(EXIT_FORMAT, f"container order {header.order} != key order {kf.order}")
-        _require_byte_key(kf)
         if header.count * header.m > keystream.BYTE_CAP:  # exact, as in encrypt
             return _fail(EXIT_FORMAT, f"container needs more keystream than one nonce "
                                       f"covers ({keystream.BYTE_CAP} bytes)")
@@ -290,7 +294,7 @@ def cmd_inspect(args) -> int:
         head = fh.read(HEADER_BYTES)
         if head[:len(KEY_MAGIC)] == KEY_MAGIC:
             data = _key_bytes(fh, head)
-            kf = read_key(data)
+            kf = read_key(data, inverse=False)
             print("type: key file")
             print(f"order: {kf.order}")
             print("latin: valid")

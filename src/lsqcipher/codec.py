@@ -125,13 +125,12 @@ def write_key(kf: KeyFile) -> bytearray:
     return buf
 
 
-def key_file_size(head: bytes) -> int:
-    """The size of the key file whose first bytes are `head`, from the order
-    in its header.
+def key_order(head: bytes) -> int:
+    """The order in the header of the key file whose first bytes are `head`.
 
-    `head` need hold no more than KEY_HEADER_BYTES, so a reader can check a
-    key file's size, and refuse an order above MAX_KEY_ORDER, before it
-    reads or allocates anything the size of the table.
+    `head` need hold no more than KEY_HEADER_BYTES, so a reader can refuse
+    an order above MAX_KEY_ORDER, or one it cannot use, before it reads or
+    allocates anything the size of the table.
     """
     if len(head) < len(KEY_MAGIC):
         raise TruncatedFile("key file shorter than magic")
@@ -142,12 +141,25 @@ def key_file_size(head: bytes) -> int:
     _, order, _ = _KEY_HEADER.unpack_from(head)
     if order > MAX_KEY_ORDER:
         raise OutOfRange(f"key order {order} > {MAX_KEY_ORDER} unsupported")
+    return order
+
+
+def key_file_size(head: bytes) -> int:
+    """The size of the key file whose first bytes are `head`, from the order
+    key_order reads in its header, so `head` need hold no more than
+    KEY_HEADER_BYTES."""
+    order = key_order(head)
     return KEY_HEADER_BYTES + order * order * symbol_dtype(order).itemsize + CRC_TRAILER.size
 
 
-def read_key(data: bytes) -> KeyFile:
+def read_key(data: bytes, inverse: bool = True) -> KeyFile:
     """Parse and certify a key file. Its checksum, seed and table are read
-    through one memoryview of `data`, so no slice of the key body is copied."""
+    through one memoryview of `data`, so no slice of the key body is copied.
+
+    With `inverse`, the default, the certificate's row pass also builds the
+    key's row inverse, which decryption runs on, so `key.invert()` is a
+    cache lookup; a caller that will only encrypt or inspect passes False
+    and keeps no n x n inverse."""
     view = memoryview(data)
     total = key_file_size(view)
     _, order, seed = _KEY_HEADER.unpack_from(view)
@@ -162,7 +174,7 @@ def read_key(data: bytes) -> KeyFile:
     table = np.frombuffer(view[KEY_HEADER_BYTES:end], dtype=symbol_wire_dtype(order))
     try:
         # looked up on the module, so a wrapper patched onto it sees key loads
-        square = latin.validate_latin(table.reshape(order, order))
+        square = latin.validate_latin(table.reshape(order, order), inverse=inverse)
     except (RowViolation, ColViolation, DimensionMismatch, OrderTooSmall) as exc:
         raise NotLatin(f"key table is not a Latin square: {exc}") from None
     return KeyFile(key=KeyAutomaton(order, square), seed=seed)

@@ -72,18 +72,21 @@ def _block_lines(n: int) -> int:
     return min(n, max(_BLOCK_LINES, _BLOCK_CELLS // n))
 
 
-def _line_offsets(entries: np.ndarray, columns: bool):
-    """Walk the rows of a square table, or its columns if `columns`, in
-    blocks of whole lines, and yield (lo, offsets) for each block.
+def _line_offsets(table: np.ndarray, columns: bool):
+    """Walk the rows of a square integer table whose entries are symbols,
+    or its columns if `columns`, in blocks of whole lines, and yield
+    (lo, offsets) for each block.
 
     The block holds lines lo, lo + 1, ... and `offsets` holds
     (line - lo) * n + entry for each of its cells, in the block's C order, so
     a 1-D scatter through it lands in the block's own slots of a buffer of
     _block_lines(n) * n cells: line by line, n slots indexed by symbol. A
     column block is read in place, with no transposed copy. One intp buffer
-    serves every block, so each block's offsets overwrite the last's.
+    serves every block, so each block's offsets overwrite the last's. They
+    are a cast copy and an in-place add, which allocate half the ufunc
+    buffers of one mixed-dtype add.
     """
-    n = entries.shape[0]
+    n = table.shape[0]
     lines = _block_lines(n)
     buf = np.empty(lines * n, dtype=np.intp)
     step = np.arange(0, lines * n, n, dtype=np.intp)
@@ -91,10 +94,50 @@ def _line_offsets(entries: np.ndarray, columns: bool):
         k = min(lines, n - lo)
         offsets = buf[:k * n]
         if columns:
-            np.add(entries[:, lo:lo + k], step[:k], out=offsets.reshape(n, k))
+            cells, base = offsets.reshape(n, k), step[:k]
+            np.copyto(cells, table[:, lo:lo + k])
         else:
-            np.add(entries[lo:lo + k], step[:k, None], out=offsets.reshape(k, n))
+            cells, base = offsets.reshape(k, n), step[:k, None]
+            np.copyto(cells, table[lo:lo + k])
+        cells += base
         yield lo, offsets
+
+
+def _row_pass(table: np.ndarray, inverse: np.ndarray | None = None) -> None:
+    """Check that every row of a square integer table whose entries are
+    symbols is a permutation, and write the rows' inverse permutations into
+    `inverse`, an (n, n) array, if given.
+
+    Each block of rows scatters its column indices j into an int16 buffer
+    filled with -1, at the slot of row i and symbol table[i, j], so a row is
+    a permutation exactly when its slots hold no -1 after the scatter, and
+    then they hold its inverse permutation; a block whose rows all are is
+    cast-copied into `inverse`. int16 holds -1 and every column index below
+    MAX_KEY_ORDER. Raises RowViolation naming the first row that is not a
+    permutation and the first symbol it repeats.
+    """
+    n = table.shape[0]
+    lines = _block_lines(n)
+    block = np.empty(lines * n, dtype=np.int16)
+    # column indices j, repeated along a block's rows in C order
+    cols = np.tile(np.arange(n, dtype=np.int16), lines)
+    flat = None if inverse is None else inverse.reshape(-1)
+    for lo, offsets in _line_offsets(table, columns=False):
+        part = block[:offsets.size]
+        part.fill(-1)
+        part[offsets] = cols[:offsets.size]
+        if part.min() < 0:
+            i = lo + int(np.argmin(part.reshape(-1, n).min(axis=1) >= 0))
+            raise RowViolation(i, _first_repeat(table[i]))
+        if flat is not None:
+            np.copyto(flat[lo * n:lo * n + part.size], part, casting="unsafe")
+
+
+def _first_repeat(line: np.ndarray) -> int:
+    """The first symbol of `line` that occurs a second time in scan order:
+    the one at the lowest position that does not hold its first occurrence."""
+    first = np.unique(line, return_index=True)[1]
+    return int(line[np.setdiff1d(np.arange(line.size), first)[0]])
 
 
 @dataclass(frozen=True)
@@ -135,29 +178,34 @@ class LatinSquare:
         permutation.
 
         Read as a transition table it is the inverse key automaton; read as
-        a Cayley table it is left division. It is Latin by construction, so
-        it is not re-validated. Built on first use, in blocks of rows, each
-        scattering its column indices into its own rows, and cached.
+        a Cayley table it is left division. It is Latin when this square is,
+        so it is not re-validated. A square certified by
+        validate_latin(table, inverse=True) holds it from its row pass;
+        any other square builds it here by the same row pass on first use,
+        and raises RowViolation for a row that is not a permutation, as a
+        directly built square may hold. It is cached either way.
         """
         cached = self.__dict__.get("_row_inverse")
-        if cached is not None:
-            return cached
-        n = self.order
-        inv = np.empty((n, n), dtype=self.entries.dtype)
-        flat = inv.reshape(-1)
-        # column indices j, repeated along a block's rows in C order
-        cols = np.tile(np.arange(n, dtype=inv.dtype), _block_lines(n))
-        for lo, offsets in _line_offsets(self.entries, columns=False):
-            flat[lo * n:][offsets] = cols[:offsets.size]
-        cached = LatinSquare(n, inv)
+        if cached is None:
+            inv = np.empty_like(self.entries)
+            _row_pass(self.entries, inv)
+            cached = self._keep_row_inverse(inv)
+        return cached
+
+    def _keep_row_inverse(self, inv: np.ndarray) -> "LatinSquare":
+        cached = LatinSquare(self.order, inv)
         object.__setattr__(self, "_row_inverse", cached)
         return cached
 
 
-def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
+def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
+                   inverse: bool = False) -> LatinSquare:
     """Certify a table as a Latin square, checking all 2n lines in blocks
     of whole lines, so that the check needs no n x n mask.
 
+    The row check is the row pass that builds the row inverse, so with
+    `inverse` the square comes with its row_inverse() already built, at the
+    cost of the inverse's n x n table; without it the pass keeps nothing.
     Raises DimensionMismatch for ragged, non-square or out-of-range input
     and for an order above MAX_KEY_ORDER, OrderTooSmall for n < 2, and
     RowViolation/ColViolation naming the first bad line (rows before
@@ -179,26 +227,25 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray) -> LatinSquare:
         raise DimensionMismatch("entries must be integers")
     if not all_symbols(arr, n):
         raise DimensionMismatch(f"entries must lie in [0, {n})")
+    # the row pass reads the table as given, before the square's copy is
+    # made, so the inverse and the copy meet only in the column pass
+    inv = np.empty((n, n), dtype=symbol_dtype(n)) if inverse else None
+    _row_pass(arr, inv)
     entries = arr.astype(symbol_dtype(n), order="C")
-    # one block-sized mask, reused by every block of both passes: n symbols
-    # in [0, n) fill a line's n slots only if none repeats
+    # one block-sized mask, reused by every column block: n symbols in
+    # [0, n) fill a column's n slots only if none repeats
     seen = np.empty(_block_lines(n) * n, dtype=bool)
-    for columns, violation in ((False, RowViolation), (True, ColViolation)):
-        for lo, offsets in _line_offsets(entries, columns):
-            block = seen[:offsets.size]
-            block.fill(False)
-            block[offsets] = True
-            if block.all():
-                continue
-            i = lo + int(np.argmin(block.reshape(-1, n).all(axis=1)))
-            line = entries[:, i] if columns else entries[i]
-            # the first repeat in scan order sits at the lowest position that
-            # does not hold its symbol's first occurrence
-            first = np.unique(line, return_index=True)[1]
-            j = np.setdiff1d(np.arange(n), first)[0]
-            raise violation(i, int(line[j]))
-        del offsets  # frees this pass's buffer before the next pass takes one
-    return LatinSquare(n, entries)
+    for lo, offsets in _line_offsets(entries, columns=True):
+        block = seen[:offsets.size]
+        block.fill(False)
+        block[offsets] = True
+        if not block.all():
+            j = lo + int(np.argmin(block.reshape(-1, n).all(axis=1)))
+            raise ColViolation(j, _first_repeat(entries[:, j]))
+    square = LatinSquare(n, entries)
+    if inverse:
+        square._keep_row_inverse(inv)
+    return square
 
 
 def _seeded_rng(order: int, seed: bytes, tag: bytes) -> random.Random:

@@ -21,6 +21,22 @@ def random_automaton(n, seed=b"test-key"):
     return KeyAutomaton(sq.order, sq)
 
 
+def kept_row_inverse(square):
+    """The row inverse `square` already holds, or None when row_inverse()
+    would have to build it."""
+    return square.__dict__.get("_row_inverse")
+
+
+def scalar_row_inverse(entries):
+    """inv[i][entries[i][j]] = j, one cell at a time."""
+    rows = np.asarray(entries).tolist()
+    inv = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            inv[i][v] = j
+    return inv
+
+
 class ForcedStream:
     """Test stub replaying a fixed symbol sequence instead of ChaCha20."""
 

@@ -36,6 +36,10 @@ class TestRun:
         assert t.states == (0, 0, 1)
         assert t.last() == 1
 
+    def test_iterator_word_read_once(self, z3):
+        # the inputs and the states come from one pass over the word
+        assert z3.run(0, iter([1, 2])) == z3.run(0, (1, 2))
+
     def test_empty_word(self, z3):
         t = z3.run(1, ())
         assert t.states == ()

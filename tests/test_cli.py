@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lsqcipher
-from lsqcipher import keystream
+from lsqcipher import cli, keystream
 from lsqcipher.cli import (
     EXIT_CHECKSUM,
     EXIT_FORMAT,
@@ -32,6 +32,8 @@ from lsqcipher.codec import (
     write_container,
 )
 from lsqcipher.latin import MAX_KEY_ORDER, LatinSquare
+
+from conftest import kept_row_inverse
 
 FORCED_NONCE = "0102030405060708090a0b0c"
 MIB = 1 << 20
@@ -553,14 +555,47 @@ class TestOutputReplaced:
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+def loaded_keys(monkeypatch):
+    """The list of every KeyFile the CLI's read_key returns from now on."""
+    loaded = []
+
+    def recording(*args, **kwargs):
+        loaded.append(read_key(*args, **kwargs))
+        return loaded[-1]
+    monkeypatch.setattr(cli, "read_key", recording)
+    return loaded
+
+
 def test_encrypt_builds_no_inverse(tmp_path, keyfile, monkeypatch):
     def row_inverse(self):
         raise AssertionError("encrypt built a row inverse")
     monkeypatch.setattr(LatinSquare, "row_inverse", row_inverse)
+    loaded = loaded_keys(monkeypatch)
     src = tmp_path / "plain"
     src.write_bytes(os.urandom(1000))
     assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
                  "--out", str(tmp_path / "ct")]) == 0
+    # nor does its key load keep the one validation can build
+    assert [kept_row_inverse(kf.key.delta) for kf in loaded] == [None]
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_key_of_another_order_refused_from_its_header(tmp_path, capsys, command):
+    # an order-1024 key file is 2 MiB; its header alone shows it is not 256
+    key, src, out = tmp_path / "k1024", tmp_path / "in", tmp_path / "out"
+    assert main(["keygen", "-n", "1024", "--out", str(key)]) == 0
+    src.write_bytes(b"x")
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main([command, "--key", str(key), "--in", str(src), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert "need an order-256 key" in capsys.readouterr().err
+    assert peak < MIB, peak
+    assert not out.exists()
 
 
 class TestInspect:
@@ -574,6 +609,11 @@ class TestInspect:
     def test_key_fingerprint_pinned(self, keyfile, capsys):
         assert main(["inspect", str(keyfile)]) == 0
         assert "fingerprint: ae2c8c6eb627ef8a\n" in capsys.readouterr().out
+
+    def test_keeps_no_inverse(self, keyfile, monkeypatch):
+        loaded = loaded_keys(monkeypatch)
+        assert main(["inspect", str(keyfile)]) == 0
+        assert [kept_row_inverse(kf.key.delta) for kf in loaded] == [None]
 
     def test_keystream_seed_changes_fingerprint(self, tmp_path, keyfile, capsys):
         other = tmp_path / "other.key"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsqcipher.automaton import KeyAutomaton
+from lsqcipher.codec import KeyFile, read_key, write_key
 from lsqcipher.errors import (
     ColViolation,
     DimensionMismatch,
@@ -13,6 +15,7 @@ from lsqcipher.errors import (
     OrderTooSmall,
     RowViolation,
 )
+from lsqcipher.keystream import SEED_BYTES
 from lsqcipher.latin import (
     MAX_KEY_ORDER,
     LatinSquare,
@@ -25,7 +28,10 @@ from lsqcipher.latin import (
     validate_latin,
 )
 
-from conftest import cyclic_table
+from conftest import cyclic_table, kept_row_inverse, scalar_row_inverse
+
+# validate_latin names violations the same with and without the inverse
+INVERSE = (False, True)
 
 
 def qg(n):
@@ -46,9 +52,9 @@ def first_violation(table):
     return None
 
 
-def raised_violation(table):
+def raised_violation(table, inverse=False):
     try:
-        validate_latin(table)
+        validate_latin(table, inverse)
     except RowViolation as e:
         return RowViolation, e.row, e.symbol
     except ColViolation as e:
@@ -181,6 +187,14 @@ class TestDirectConstruction:
         base[0, 0] = 9
         assert sq.entries.tolist() == [[0, 1], [1, 0]]
 
+    def test_row_inverse_refuses_a_row_that_is_no_permutation(self):
+        # its inverse would be no inverse: row 1 never reaches symbol 2
+        sq = LatinSquare(3, np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]], dtype=np.uint8))
+        with pytest.raises(RowViolation) as exc:
+            sq.row_inverse()
+        assert (exc.value.row, exc.value.symbol) == (1, 1)
+        assert kept_row_inverse(sq) is None
+
     def test_unequal_to_a_non_square(self):
         sq = LatinSquare(2, np.array([[0, 1], [1, 0]], dtype=np.uint8))
         assert sq != [[0, 1], [1, 0]]
@@ -195,30 +209,34 @@ class TestViolationNaming:
         row[150] = 40  # 40 repeats at 150: the first repeat in scan order
         row[230] = 10  # 10 occurs first and is smaller, but repeats later
         t[200] = row
-        with pytest.raises(RowViolation) as exc:
-            validate_latin(t)
-        assert (exc.value.row, exc.value.symbol) == (200, 40)
+        for inverse in INVERSE:
+            with pytest.raises(RowViolation) as exc:
+                validate_latin(t, inverse)
+            assert (exc.value.row, exc.value.symbol) == (200, 40)
 
     def test_row_reported_before_lower_column(self):
         t = generate_latin(300, b"name").entries.astype(np.int64)
         t[200, 5] = t[200, 6]  # breaks row 200 and column 5
-        with pytest.raises(RowViolation) as exc:
-            validate_latin(t)
-        assert (exc.value.row, exc.value.symbol) == (200, t[200, 6])
+        for inverse in INVERSE:
+            with pytest.raises(RowViolation) as exc:
+                validate_latin(t, inverse)
+            assert (exc.value.row, exc.value.symbol) == (200, t[200, 6])
 
     def test_column_only_violation(self):
         t = generate_latin(300, b"name").entries.astype(np.int64)
         t[100, [7, 250]] = t[100, [250, 7]]  # row 100 stays a permutation
         x = t[100, 7]
-        with pytest.raises(ColViolation) as exc:
-            validate_latin(t)
-        assert (exc.value.col, exc.value.symbol) == (7, x)
+        for inverse in INVERSE:
+            with pytest.raises(ColViolation) as exc:
+                validate_latin(t, inverse)
+            assert (exc.value.col, exc.value.symbol) == (7, x)
 
     def test_mutated_tables_match_reference(self):
         rng = np.random.default_rng(2024)
         for n in (2, 3, 5, 17, 256, 300):
             base = generate_latin(n, b"mutate").entries.astype(np.int64)
-            assert raised_violation(base) is None
+            for inverse in INVERSE:
+                assert raised_violation(base, inverse) is None
             for trial in range(8):
                 t = base.copy()
                 if trial % 4 == 0:  # swap two cells of a row: columns only
@@ -231,7 +249,8 @@ class TestViolationNaming:
                     for _ in range(trial % 4):
                         r, c, v = rng.integers(0, n, 3)
                         t[r, c] = v
-                assert raised_violation(t) == first_violation(t)
+                for inverse in INVERSE:
+                    assert raised_violation(t, inverse) == first_violation(t)
 
 
 class TestBlockedPasses:
@@ -262,9 +281,10 @@ class TestBlockedPasses:
             t = base.copy()
             a, b = rng.choice(n, 2, replace=False)
             t[r, a] = t[r, b]  # breaks row r and column a
-            got = raised_violation(t)
-            assert got == first_violation(t)
-            assert got[:2] == (RowViolation, r)
+            for inverse in INVERSE:
+                got = raised_violation(t, inverse)
+                assert got == first_violation(t)
+                assert got[:2] == (RowViolation, r)
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_column_corruption_named_as_reference(self, n):
@@ -277,20 +297,35 @@ class TestBlockedPasses:
             t = base.copy()
             r, d = int(rng.integers(n)), int(rng.integers(c + 1, n))
             t[r, [c, d]] = t[r, [d, c]]
-            got = raised_violation(t)
-            assert got == first_violation(t)
-            assert got[:2] == (ColViolation, c)
+            for inverse in INVERSE:
+                got = raised_violation(t, inverse)
+                assert got == first_violation(t)
+                assert got[:2] == (ColViolation, c)
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_row_inverse_matches_scalar_inverse(self, n):
         sq = generate_latin(n, b"blocks", walk_steps=3)
-        expect = [[0] * n for _ in range(n)]
-        for i, row in enumerate(sq.entries.tolist()):
-            for j, v in enumerate(row):
-                expect[i][v] = j
+        expect = scalar_row_inverse(sq.entries)
         inv = sq.row_inverse().entries
         assert inv.dtype == sq.entries.dtype
         assert inv.tolist() == expect
+
+    @pytest.mark.parametrize("n", ORDERS + [256])
+    def test_kept_inverse_matches_scalar_inverse(self, n):
+        # the inverse the certificate's row pass keeps: from an integer
+        # table, and from a key file, whose wire table is big-endian
+        square = generate_latin(n, b"blocks", walk_steps=3)
+        expect = scalar_row_inverse(square.entries)
+        blob = write_key(KeyFile(KeyAutomaton(n, square), bytes(SEED_BYTES)))
+        loads = [lambda inverse: validate_latin(square.entries.astype(np.int64), inverse),
+                 lambda inverse: read_key(blob, inverse).key.delta]
+        for load in loads:
+            sq = load(True)
+            inv = kept_row_inverse(sq)
+            assert inv is not None and sq.row_inverse() is inv
+            assert inv.entries.dtype == square.entries.dtype
+            assert inv.entries.tolist() == expect
+            assert kept_row_inverse(load(False)) is None
 
     def test_validate_peak_memory(self):
         # the square's copy of the table and one block of intp offsets; an

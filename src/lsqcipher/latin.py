@@ -72,27 +72,39 @@ def _block_lines(n: int) -> int:
     return min(n, max(_BLOCK_LINES, _BLOCK_CELLS // n))
 
 
-def _line_offsets(table: np.ndarray, columns: bool):
-    """Walk the rows of a square integer table whose entries are symbols,
-    or its columns if `columns`, in blocks of whole lines, and yield
-    (lo, offsets) for each block.
+def _line_pass(table: np.ndarray, columns: bool,
+               inverse: np.ndarray | None = None) -> None:
+    """Check that every row of a square integer table whose entries are
+    symbols is a permutation, or every column if `columns`, and write the
+    rows' inverse permutations into `inverse`, an (n, n) array, if given.
 
-    The block holds lines lo, lo + 1, ... and `offsets` holds
-    (line - lo) * n + entry for each of its cells, in the block's C order, so
-    a 1-D scatter through it lands in the block's own slots of a buffer of
-    _block_lines(n) * n cells: line by line, n slots indexed by symbol. A
-    column block is read in place, with no transposed copy. One intp buffer
-    serves every block, so each block's offsets overwrite the last's. They
-    are a cast copy and an in-place add, which allocate half the ufunc
-    buffers of one mixed-dtype add.
+    The lines are taken in blocks of _block_lines(n). Each block's flat intp
+    offsets (line - lo) * n + entry are a cast copy and an in-place add,
+    which allocate half the ufunc buffers of one mixed-dtype add, and a
+    column block is read in place, with no transposed copy. A marks buffer
+    filled with -1 takes a scatter through them, so a line is a permutation
+    exactly when its n slots hold no -1 afterwards. For a check alone the
+    marks are int8 and the scatter writes 0. For the inverse they are int16,
+    which holds -1 and every column index below MAX_KEY_ORDER, the scatter
+    writes each cell's column index j at the slot of row i and symbol
+    table[i, j], and a row block that passes holds its rows' inverse and is
+    cast-copied into `inverse`. Raises RowViolation or ColViolation naming
+    the first line that is not a permutation and the first symbol it
+    repeats.
     """
     n = table.shape[0]
     lines = _block_lines(n)
-    buf = np.empty(lines * n, dtype=np.intp)
+    offsets_buf = np.empty(lines * n, dtype=np.intp)
     step = np.arange(0, lines * n, n, dtype=np.intp)
+    if inverse is None:
+        marks, cols = np.empty(lines * n, dtype=np.int8), None
+    else:
+        marks = np.empty(lines * n, dtype=np.int16)
+        # column indices j, repeated along a block's rows in C order
+        cols = np.tile(np.arange(n, dtype=np.int16), lines)
     for lo in range(0, n, lines):
         k = min(lines, n - lo)
-        offsets = buf[:k * n]
+        offsets, part = offsets_buf[:k * n], marks[:k * n]
         if columns:
             cells, base = offsets.reshape(n, k), step[:k]
             np.copyto(cells, table[:, lo:lo + k])
@@ -100,37 +112,15 @@ def _line_offsets(table: np.ndarray, columns: bool):
             cells, base = offsets.reshape(k, n), step[:k, None]
             np.copyto(cells, table[lo:lo + k])
         cells += base
-        yield lo, offsets
-
-
-def _row_pass(table: np.ndarray, inverse: np.ndarray | None = None) -> None:
-    """Check that every row of a square integer table whose entries are
-    symbols is a permutation, and write the rows' inverse permutations into
-    `inverse`, an (n, n) array, if given.
-
-    Each block of rows scatters its column indices j into an int16 buffer
-    filled with -1, at the slot of row i and symbol table[i, j], so a row is
-    a permutation exactly when its slots hold no -1 after the scatter, and
-    then they hold its inverse permutation; a block whose rows all are is
-    cast-copied into `inverse`. int16 holds -1 and every column index below
-    MAX_KEY_ORDER. Raises RowViolation naming the first row that is not a
-    permutation and the first symbol it repeats.
-    """
-    n = table.shape[0]
-    lines = _block_lines(n)
-    block = np.empty(lines * n, dtype=np.int16)
-    # column indices j, repeated along a block's rows in C order
-    cols = np.tile(np.arange(n, dtype=np.int16), lines)
-    flat = None if inverse is None else inverse.reshape(-1)
-    for lo, offsets in _line_offsets(table, columns=False):
-        part = block[:offsets.size]
         part.fill(-1)
-        part[offsets] = cols[:offsets.size]
+        part[offsets] = 0 if cols is None else cols[:k * n]
         if part.min() < 0:
-            i = lo + int(np.argmin(part.reshape(-1, n).min(axis=1) >= 0))
+            i = lo + int(np.argmin(part.reshape(k, n).min(axis=1) >= 0))
+            if columns:
+                raise ColViolation(i, _first_repeat(table[:, i]))
             raise RowViolation(i, _first_repeat(table[i]))
-        if flat is not None:
-            np.copyto(flat[lo * n:lo * n + part.size], part, casting="unsafe")
+        if inverse is not None:
+            np.copyto(inverse.reshape(-1)[lo * n:(lo + k) * n], part, casting="unsafe")
 
 
 def _first_repeat(line: np.ndarray) -> int:
@@ -188,7 +178,7 @@ class LatinSquare:
         cached = self.__dict__.get("_row_inverse")
         if cached is None:
             inv = np.empty_like(self.entries)
-            _row_pass(self.entries, inv)
+            _line_pass(self.entries, False, inv)
             cached = self._keep_row_inverse(inv)
         return cached
 
@@ -230,18 +220,9 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     # the row pass reads the table as given, before the square's copy is
     # made, so the inverse and the copy meet only in the column pass
     inv = np.empty((n, n), dtype=symbol_dtype(n)) if inverse else None
-    _row_pass(arr, inv)
+    _line_pass(arr, False, inv)
     entries = arr.astype(symbol_dtype(n), order="C")
-    # one block-sized mask, reused by every column block: n symbols in
-    # [0, n) fill a column's n slots only if none repeats
-    seen = np.empty(_block_lines(n) * n, dtype=bool)
-    for lo, offsets in _line_offsets(entries, columns=True):
-        block = seen[:offsets.size]
-        block.fill(False)
-        block[offsets] = True
-        if not block.all():
-            j = lo + int(np.argmin(block.reshape(-1, n).all(axis=1)))
-            raise ColViolation(j, _first_repeat(entries[:, j]))
+    _line_pass(entries, True)
     square = LatinSquare(n, entries)
     if inverse:
         square._keep_row_inverse(inv)

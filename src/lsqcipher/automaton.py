@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
-from .latin import LatinSquare, Quasigroup, validate_latin
+from .latin import LatinSquare, Quasigroup, require_symbols, validate_latin
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,18 @@ class KeyAutomaton:
 
     def step(self, a: int, x: int) -> int:
         """delta(a, x): next state from state a on input x."""
+        require_symbols(self.order, a, x)
         return int(self.delta.entries[x, a])
 
     def run(self, a: int, w: Iterable[int]) -> Trajectory:
         """The full state trajectory of reading word w from state a.
 
-        An empty word yields an empty trajectory.
+        An empty word yields an empty trajectory. The start state and the
+        word's symbols are checked once, before the first lookup.
         """
         t = self.delta.entries
         inputs = tuple(int(x) for x in w)  # one read, so an iterator word works
+        require_symbols(self.order, a, min(inputs, default=0), max(inputs, default=0))
         states = []
         cur = a
         for x in inputs:

@@ -67,6 +67,16 @@ def all_symbols(values: np.ndarray, order: int) -> bool:
     return (values.dtype.kind == "u" or values.min() >= 0) and values.max() < order
 
 
+def require_symbols(order: int, *symbols: int) -> None:
+    """Raise ValueError naming the first of `symbols` outside [0, order).
+
+    The scalar readings index the table with these, so without the check a
+    negative symbol would wrap round to the table's far end."""
+    for s in symbols:
+        if not 0 <= s < order:
+            raise ValueError(f"symbol {s} is not in [0, {order})")
+
+
 def _block_lines(n: int) -> int:
     """Lines per block of a blocked pass over an order-n table."""
     return min(n, max(_BLOCK_LINES, _BLOCK_CELLS // n))
@@ -170,10 +180,11 @@ class LatinSquare:
         Read as a transition table it is the inverse key automaton; read as
         a Cayley table it is left division. It is Latin when this square is,
         so it is not re-validated. A square certified by
-        validate_latin(table, inverse=True) holds it from its row pass;
-        any other square builds it here by the same row pass on first use,
-        and raises RowViolation for a row that is not a permutation, as a
-        directly built square may hold. It is cached either way.
+        validate_latin(table, inverse=True) holds it from the row half of its
+        line pass; any other square builds it here by the same row pass,
+        _line_pass with int16 marks, on first use, and raises RowViolation
+        for a row that is not a permutation, as a directly built square may
+        hold. It is cached either way.
         """
         cached = self.__dict__.get("_row_inverse")
         if cached is None:
@@ -193,9 +204,11 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     """Certify a table as a Latin square, checking all 2n lines in blocks
     of whole lines, so that the check needs no n x n mask.
 
-    The row check is the row pass that builds the row inverse, so with
-    `inverse` the square comes with its row_inverse() already built, at the
-    cost of the inverse's n x n table; without it the pass keeps nothing.
+    Rows and columns go through the one line pass, _line_pass: rows on the
+    table as given, columns on the square's copy. With `inverse` the row
+    pass scatters column indices, so the square comes with its
+    row_inverse() already built, at the cost of the inverse's n x n table;
+    without it both passes scatter int8 marks and keep nothing.
     Raises DimensionMismatch for ragged, non-square or out-of-range input
     and for an order above MAX_KEY_ORDER, OrderTooSmall for n < 2, and
     RowViolation/ColViolation naming the first bad line (rows before
@@ -325,14 +338,17 @@ class Quasigroup:
 
     def mul(self, x: int, y: int) -> int:
         """x * y"""
+        require_symbols(self.order, x, y)
         return int(self.cayley.entries[x, y])
 
     def left_div(self, a: int, c: int) -> int:
         """a \\ c: the unique b with a*b = c."""
+        require_symbols(self.order, a, c)
         return int(self.cayley.row_inverse().entries[a, c])
 
     def right_div(self, c: int, a: int) -> int:
         """c / a: the unique b with b*a = c."""
+        require_symbols(self.order, c, a)
         return int(np.flatnonzero(self.cayley.entries[:, a] == c)[0])
 
     def left_inverse(self) -> "Quasigroup":

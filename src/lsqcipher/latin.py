@@ -88,30 +88,34 @@ def _line_pass(table: np.ndarray, columns: bool,
     symbols is a permutation, or every column if `columns`, and write the
     rows' inverse permutations into `inverse`, an (n, n) array, if given.
 
-    The lines are taken in blocks of _block_lines(n). Each block's flat intp
-    offsets (line - lo) * n + entry are a cast copy and an in-place add,
-    which allocate half the ufunc buffers of one mixed-dtype add, and a
-    column block is read in place, with no transposed copy. A marks buffer
-    filled with -1 takes a scatter through them, so a line is a permutation
-    exactly when its n slots hold no -1 afterwards. For a check alone the
-    marks are int8 and the scatter writes 0. For the inverse they are int16,
-    which holds -1 and every column index below MAX_KEY_ORDER, the scatter
-    writes each cell's column index j at the slot of row i and symbol
-    table[i, j], and a row block that passes holds its rows' inverse and is
-    cast-copied into `inverse`. Raises RowViolation or ColViolation naming
-    the first line that is not a permutation and the first symbol it
-    repeats.
+    The lines are taken in blocks of _block_lines(n). A block from line lo
+    has the flat intp offsets (line - lo) * n + entry. They are a cast copy
+    and an in-place add, which allocate half the ufunc buffers of one
+    mixed-dtype add, and a column block is read in place, with no
+    transposed copy. A marks buffer filled with -1 takes a scatter through
+    them, so a line is a permutation exactly when its n slots hold no -1
+    afterwards.
+
+    For a check alone the marks are int8 and the scatter writes 0: as fast
+    as a bool mask, and faster than int16 in the column pass. For the
+    inverse they are int16, which holds -1 and every column index below
+    MAX_KEY_ORDER: the scatter writes each cell's column index j at the slot
+    of row i and symbol table[i, j], and a row block that passes holds its
+    rows' inverse and is cast-copied into `inverse`.
+
+    Raises RowViolation or ColViolation naming the first line that is not a
+    permutation and the first symbol it repeats.
     """
     n = table.shape[0]
     lines = _block_lines(n)
     offsets_buf = np.empty(lines * n, dtype=np.intp)
     step = np.arange(0, lines * n, n, dtype=np.intp)
     if inverse is None:
-        marks, cols = np.empty(lines * n, dtype=np.int8), None
+        marks, col_index = np.empty(lines * n, dtype=np.int8), None
     else:
         marks = np.empty(lines * n, dtype=np.int16)
         # column indices j, repeated along a block's rows in C order
-        cols = np.tile(np.arange(n, dtype=np.int16), lines)
+        col_index = np.tile(np.arange(n, dtype=np.int16), lines)
     for lo in range(0, n, lines):
         k = min(lines, n - lo)
         offsets, part = offsets_buf[:k * n], marks[:k * n]
@@ -123,7 +127,7 @@ def _line_pass(table: np.ndarray, columns: bool,
             np.copyto(cells, table[lo:lo + k])
         cells += base
         part.fill(-1)
-        part[offsets] = 0 if cols is None else cols[:k * n]
+        part[offsets] = 0 if col_index is None else col_index[:k * n]
         if part.min() < 0:
             i = lo + int(np.argmin(part.reshape(k, n).min(axis=1) >= 0))
             if columns:

@@ -623,10 +623,10 @@ def test_overwritten_cells_named_as_reference(n, seed, data):
     # Above order 181 each pass takes two blocks or more, so one to three
     # edits can leave several repeats, and row and column violations in
     # different blocks. An edit overwrites cell (i, a) with the value of
-    # (i, b), which is any value, or swaps two cells of row i (a column
-    # violation) or of column i (a row violation); with a == b it leaves
-    # the table Latin, and then it must keep the inverse a scalar loop
-    # builds.
+    # (i, b), any symbol while row i is still a permutation, or swaps two
+    # cells of row i (a column violation) or of column i (a row violation).
+    # With a == b it leaves the table Latin, and then the certificate must
+    # keep the inverse a scalar loop builds.
     t = generate_latin(n, seed).entries.astype(np.int64)
     # hypothesis favours small integers; the mirror reaches the last blocks
     line = st.integers(0, n - 1) | st.integers(0, n - 1).map(lambda i: n - 1 - i)

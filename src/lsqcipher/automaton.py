@@ -45,24 +45,25 @@ class KeyAutomaton:
 
     def step(self, a: int, x: int) -> int:
         """delta(a, x): next state from state a on input x."""
-        require_symbols(self.order, a, x)
+        a, x = require_symbols((a, x), self.order).tolist()
         return int(self.delta.entries[x, a])
 
     def run(self, a: int, w: Iterable[int]) -> Trajectory:
         """The full state trajectory of reading word w from state a.
 
         An empty word yields an empty trajectory. The start state and the
-        word's symbols are checked once, before the first lookup.
+        word are checked together by require_symbols before the first
+        lookup: a float such as 1.7 is refused, not truncated.
         """
         t = self.delta.entries
-        inputs = tuple(int(x) for x in w)  # one read, so an iterator word works
-        require_symbols(self.order, a, min(inputs, default=0), max(inputs, default=0))
+        # one read of w, so an iterator word works
+        a, *inputs = require_symbols((a, *w), self.order).tolist()
         states = []
         cur = a
         for x in inputs:
             cur = int(t[x, cur])
             states.append(cur)
-        return Trajectory(a, inputs, tuple(states))
+        return Trajectory(a, tuple(inputs), tuple(states))
 
     def last_state(self, a: int, w: Sequence[int]) -> int:
         """The last state of run(a, w); EmptyInput for the empty word."""

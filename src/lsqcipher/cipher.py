@@ -15,12 +15,13 @@ the same reason a message may arrive in parts:
 consumes block i however the message is split, so the parts concatenate to
 the ciphertext of one call.
 
-Every flat index k * n + s the kernel gathers through is below n * n:
-message symbols are range-checked on entry, table entries when the key is
-validated, and keystream symbols once per chunk. So the gather runs in
-NumPy's "clip" mode, which never clamps here; its default "raise" mode
-would gather into a fresh copy of the output and copy it back on every
-round.
+Every flat index k * n + s the kernel gathers through is below n * n: each
+input passes latin.require_symbols, the one rule for what a symbol is, so
+message symbols on entry, table entries when the key's square is built,
+and keystream symbols once per chunk are integers in [0, n). So the gather
+runs in NumPy's "clip" mode, which never clamps here; its default "raise"
+mode would gather into a fresh copy of the output and copy it back on
+every round.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .errors import NonceReuse
 from .keystream import KeystreamReader, KeystreamSpec
-from .latin import all_symbols
+from .latin import require_symbols
 
 ENGINES = ("fa", "qg")
 
@@ -93,18 +94,16 @@ class CipherSession:
 
 
 def _as_symbols(seq, order: int) -> np.ndarray:
-    """The message as a 1-D array, without copying an array or a byte string.
-
-    Values are scanned only if the dtype can hold one outside [0, order)."""
+    """The message as a 1-D array of symbols, without copying an array or a
+    byte string. Its symbols are checked by require_symbols, which scans
+    them only if the dtype can hold a value outside [0, order)."""
     if isinstance(seq, (bytes, bytearray)):
         arr = np.frombuffer(seq, dtype=np.uint8)
     else:
         arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError(f"a message must be a 1-D sequence of symbols, got shape {arr.shape}")
-    if arr.size and not (np.issubdtype(arr.dtype, np.integer) and all_symbols(arr, order)):
-        raise ValueError(f"symbols must be integers in [0, {order})")
-    return arr
+    return require_symbols(arr, order)
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -133,8 +132,8 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     them.
 
     Invariant: every index is below n * n. The caller's symbols and the
-    table's entries lie in [0, n), and each chunk's keystream symbols are
-    checked against [0, n) before its first round; the check scans nothing
+    table's entries lie in [0, n), and each chunk's keystream symbols pass
+    require_symbols before its first round; the check scans nothing
     for one-byte symbols at order 256. This check is also what catches a bad
     keystream symbol: at order 256, k * 256 would wrap inside the uint16
     index unseen. With the invariant the gather runs in "clip" mode, which
@@ -153,9 +152,7 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
         state = start[lo:lo + chunk]
         c = len(state)
         # rebinding drops the last chunk's blocks before this chunk's copy
-        blocks = stream.take(c * m)
-        if not all_symbols(blocks, n):
-            raise ValueError(f"keystream symbols must lie in [0, {n})")
+        blocks = require_symbols(stream.take(c * m), n)
         blocks = np.ascontiguousarray(blocks.reshape(c, m).T)
         index = index_buf[:c]
         for j in rounds:

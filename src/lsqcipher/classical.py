@@ -21,6 +21,9 @@ UNKNOWN = -1
 
 @dataclass(frozen=True)
 class LeaderCipher:
+    """The leader cipher over q. Its symbols and leader go to q.mul and
+    q.left_div as given, so a non-symbol such as 1.9 raises ValueError."""
+
     q: Quasigroup
     leader: int
 
@@ -29,7 +32,7 @@ class LeaderCipher:
         out = []
         prev = self.leader
         for p in plaintext:
-            prev = self.q.mul(prev, int(p))
+            prev = self.q.mul(prev, p)
             out.append(prev)
         return out
 
@@ -38,8 +41,8 @@ class LeaderCipher:
         out = []
         prev = self.leader
         for c in ciphertext:
-            out.append(self.q.left_div(prev, int(c)))
-            prev = int(c)
+            out.append(self.q.left_div(prev, c))
+            prev = c
         return out
 
 

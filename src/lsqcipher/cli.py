@@ -51,7 +51,6 @@ from .codec import (
     KEY_MAGIC,
     ContainerHeader,
     KeyFile,
-    check_symbols,
     key_file_size,
     key_fingerprint,
     key_order,
@@ -61,9 +60,10 @@ from .codec import (
     write_container,
     write_key,
 )
-from .errors import CodecError, InconsistentPairs, LengthMismatch, LsqError
+from .errors import CodecError, InconsistentPairs, LengthMismatch, LsqError, OutOfRange
 from .keystream import NONCE_BYTES, SEED_BYTES
-from .latin import Quasigroup, generate_latin, holds_only_symbols, symbol_wire_dtype
+from .latin import (Quasigroup, generate_latin, holds_only_symbols, require_symbols,
+                    symbol_wire_dtype)
 
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
@@ -176,7 +176,7 @@ def _check_payload(src, header: ContainerHeader):
     if holds_only_symbols(wire, header.order):
         return
     for part in _parts(src, header.count, wire):
-        check_symbols(part, header.order)
+        require_symbols(part, header.order, OutOfRange)
 
 
 def _read_to_end(src, n: int) -> bytes:

@@ -187,27 +187,11 @@ def key_fingerprint(data) -> str:
     return hashlib.sha256(memoryview(data)[:-CRC_TRAILER.size]).hexdigest()[:16]
 
 
-def check_symbols(symbols: np.ndarray, order: int) -> None:
-    """Raise OutOfRange unless every payload symbol is an integer in
-    [0, order), as messages must be.
-
-    Scans nothing when the dtype holds no value outside that range, as at
-    order 256 with one-byte symbols.
-    """
-    if symbols.size and not np.issubdtype(symbols.dtype, np.integer):
-        raise OutOfRange(f"payload symbols must be integers, got {symbols.dtype}")
-    if latin.all_symbols(symbols, order):
-        return
-    if symbols.max() >= order:
-        raise OutOfRange(f"payload symbol {symbols.max()} >= order {order}")
-    raise OutOfRange(f"payload symbol {symbols.min()} < 0")
-
-
 def write_container(ct: CipherContainer) -> bytes:
     if ct.payload.ndim != 1:
         raise LengthMismatch(f"payload must be 1-D, got shape {ct.payload.shape}")
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
-    check_symbols(ct.payload, ct.order)
+    latin.require_symbols(ct.payload, ct.order, OutOfRange)
     # join reads the payload's buffer in place, so the bytes hold its one copy
     wire = ct.payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
     return b"".join((header.pack(), wire, CRC_TRAILER.pack(ct.plaintext_crc)))
@@ -242,7 +226,7 @@ def read_container(data: bytes) -> CipherContainer:
     end = header.size - CRC_TRAILER.size
     wire = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
     payload = wire.astype(symbol_dtype(header.order), copy=False)
-    check_symbols(payload, header.order)
+    latin.require_symbols(payload, header.order, OutOfRange)
     (crc,) = CRC_TRAILER.unpack_from(data, end)
     return CipherContainer(order=header.order, m=header.m, nonce=header.nonce,
                            payload=payload, plaintext_crc=crc)

@@ -58,23 +58,29 @@ def holds_only_symbols(dtype, order: int) -> bool:
     return dtype.kind == "u" and np.iinfo(dtype).max < order
 
 
-def all_symbols(values: np.ndarray, order: int) -> bool:
-    """True when every entry of the integer array `values` lies in
-    [0, order). Scans only what the dtype does not already rule out: nothing
-    under holds_only_symbols, and no minimum of an unsigned type."""
-    if not values.size or holds_only_symbols(values.dtype, order):
-        return True
-    return (values.dtype.kind == "u" or values.min() >= 0) and values.max() < order
+def require_symbols(values, order: int, error: type[Exception] = ValueError) -> np.ndarray:
+    """`values`, one symbol, a tuple of them or an array, as an array whose
+    entries are all symbols: integers in [0, order). This is the package's
+    one rule for what a symbol is; each boundary passes its own `error`.
 
-
-def require_symbols(order: int, *symbols: int) -> None:
-    """Raise ValueError naming the first of `symbols` outside [0, order).
-
-    The scalar readings index the table with these, so without the check a
-    negative symbol would wrap round to the table's far end."""
-    for s in symbols:
-        if not 0 <= s < order:
-            raise ValueError(f"symbol {s} is not in [0, {order})")
+    Raises `error` for a dtype that is not an integer type, naming the
+    first entry, since every entry is refused: 2.0 is not a symbol, so no
+    float is truncated into one. Otherwise raises it naming the first entry
+    outside the range, which a lookup would wrap round or escape. Scans
+    only what the dtype does not rule out: nothing for an empty array or
+    under holds_only_symbols, and no minimum of an unsigned type.
+    """
+    arr = np.asarray(values)
+    if not arr.size or holds_only_symbols(arr.dtype, order):
+        return arr
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise error(f"symbols must be integers in [0, {order}), "
+                    f"got {arr.dtype} symbol {arr.flat[0]}")
+    if (arr.dtype.kind == "u" or arr.min() >= 0) and arr.max() < order:
+        return arr
+    bad = arr.flat[np.argmax((arr < 0) | (arr >= order))]
+    raise error(f"symbol {bad} is not in [0, {order}): "
+                "symbols must be integers in that range")
 
 
 def _block_lines(n: int) -> int:
@@ -165,9 +171,9 @@ class LatinSquare:
     def __post_init__(self):
         n, entries = self.order, self.entries
         if not (isinstance(entries, np.ndarray) and entries.shape == (n, n)
-                and entries.dtype == symbol_dtype(n) and all_symbols(entries, n)):
-            raise DimensionMismatch(f"entries must be a ({n}, {n}) array of "
-                                    f"{symbol_dtype(n)} in [0, {n})")
+                and entries.dtype == symbol_dtype(n)):
+            raise DimensionMismatch(f"entries must be a ({n}, {n}) array of {symbol_dtype(n)}")
+        require_symbols(entries, n, DimensionMismatch)
         entries = np.require(entries, requirements="CO")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -213,8 +219,9 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     pass scatters column indices, so the square comes with its
     row_inverse() already built, at the cost of the inverse's n x n table;
     without it both passes scatter int8 marks and keep nothing.
-    Raises DimensionMismatch for ragged, non-square or out-of-range input
-    and for an order above MAX_KEY_ORDER, OrderTooSmall for n < 2, and
+    Raises DimensionMismatch for ragged or non-square input, for entries
+    that are not symbols (require_symbols) and for an order above
+    MAX_KEY_ORDER, OrderTooSmall for n < 2, and
     RowViolation/ColViolation naming the first bad line (rows before
     columns, lowest index first) and the first symbol it repeats in scan
     order. The square owns a copy of the table.
@@ -226,14 +233,8 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square table, got shape {arr.shape}")
     n = arr.shape[0]
-    if n < 2:
-        raise OrderTooSmall(f"order {n} < 2")
-    if n > MAX_KEY_ORDER:
-        raise DimensionMismatch(f"key order {n} > {MAX_KEY_ORDER} unsupported")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DimensionMismatch("entries must be integers")
-    if not all_symbols(arr, n):
-        raise DimensionMismatch(f"entries must lie in [0, {n})")
+    _check_key_order(n)
+    require_symbols(arr, n, DimensionMismatch)
     # the row pass reads the table as given, before the square's copy is
     # made, so the inverse and the copy meet only in the column pass
     inv = np.empty((n, n), dtype=symbol_dtype(n)) if inverse else None
@@ -244,6 +245,15 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     if inverse:
         square._keep_row_inverse(inv)
     return square
+
+
+def _check_key_order(n: int) -> None:
+    """Raise OrderTooSmall for a key order below 2, and DimensionMismatch
+    for one above MAX_KEY_ORDER."""
+    if n < 2:
+        raise OrderTooSmall(f"order {n} < 2")
+    if n > MAX_KEY_ORDER:
+        raise DimensionMismatch(f"key order {n} > {MAX_KEY_ORDER} unsupported")
 
 
 def _seeded_rng(order: int, seed: bytes, tag: bytes) -> random.Random:
@@ -263,10 +273,7 @@ def generate_latin(order: int, seed: bytes, walk_steps: int = 0) -> LatinSquare:
     place, so the construction's peak memory is the table. Uniformity over
     all Latin squares is not claimed.
     """
-    if order < 2:
-        raise OrderTooSmall(f"order {order} < 2")
-    if order > MAX_KEY_ORDER:
-        raise DimensionMismatch(f"key order {order} > {MAX_KEY_ORDER} unsupported")
+    _check_key_order(order)
     if walk_steps < 0:
         raise ValueError("walk steps must be >= 0")
     rng = _seeded_rng(order, seed, b"lsq-isotopy")
@@ -342,17 +349,17 @@ class Quasigroup:
 
     def mul(self, x: int, y: int) -> int:
         """x * y"""
-        require_symbols(self.order, x, y)
+        x, y = require_symbols((x, y), self.order).tolist()
         return int(self.cayley.entries[x, y])
 
     def left_div(self, a: int, c: int) -> int:
         """a \\ c: the unique b with a*b = c."""
-        require_symbols(self.order, a, c)
+        a, c = require_symbols((a, c), self.order).tolist()
         return int(self.cayley.row_inverse().entries[a, c])
 
     def right_div(self, c: int, a: int) -> int:
         """c / a: the unique b with b*a = c."""
-        require_symbols(self.order, c, a)
+        c, a = require_symbols((c, a), self.order).tolist()
         return int(np.flatnonzero(self.cayley.entries[:, a] == c)[0])
 
     def left_inverse(self) -> "Quasigroup":
@@ -361,12 +368,15 @@ class Quasigroup:
 
 
 def fold_mul(q: Quasigroup, ks: Sequence[int], p: int) -> int:
-    """k_m * ( ... * (k_2 * (k_1 * p)) ... ) over a keystream block."""
+    """k_m * ( ... * (k_2 * (k_1 * p)) ... ) over a keystream block.
+
+    p and the block are checked together by require_symbols before the
+    first product, as KeyAutomaton.run checks its word."""
     if len(ks) == 0:
         raise EmptyKeyBlock("fold over empty keystream block")
-    acc = p
+    acc, *ks = require_symbols((p, *ks), q.order).tolist()
     for k in ks:
-        acc = q.mul(k, acc)
+        acc = int(q.cayley.entries[k, acc])
     return acc
 
 

@@ -729,7 +729,7 @@ class TestInspect:
         out, err = capsys.readouterr()
         assert "order: 300" in out and "payload symbols: 600000" in out
         assert "plaintext crc (diagnostic): 0xdeadbeef" in out
-        assert "payload symbol 300 >= order 300" in err
+        assert "OutOfRange: symbol 300 is not in [0, 300)" in err
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     @pytest.mark.parametrize("order", [256, 300])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lsqcipher.automaton import KeyAutomaton
 from lsqcipher.classical import LeaderCipher
@@ -14,6 +15,7 @@ from lsqcipher.errors import (
     DimensionMismatch,
     EmptyKeyBlock,
     OrderTooSmall,
+    OutOfRange,
     RowViolation,
 )
 from lsqcipher.keystream import SEED_BYTES
@@ -26,6 +28,7 @@ from lsqcipher.latin import (
     fold_left_div,
     fold_mul,
     generate_latin,
+    require_symbols,
     validate_latin,
 )
 
@@ -169,7 +172,11 @@ class TestDirectConstruction:
         (2, [[0, 1], [1, 0]]),                               # not an array
     ])
     def test_refused(self, order, entries):
-        with pytest.raises(DimensionMismatch, match="array of"):
+        match = "array of"
+        if isinstance(entries, np.ndarray) and entries.max() >= order:
+            # named by latin.require_symbols, as every boundary names one
+            match = rf"symbol {entries.max()} is not in \[0, {order}\)"
+        with pytest.raises(DimensionMismatch, match=match):
             LatinSquare(order, entries)
 
     def test_checks_no_latin_property(self):
@@ -500,7 +507,8 @@ class TestOperations:
 
 # Each scalar reading of an order-5 key, with symbol s in one argument:
 # (q, key, s) -> value. Python and NumPy index with s, so -1 would wrap round
-# to the table's far end and 5 would escape as an IndexError.
+# to the table's far end and 5 would escape as an IndexError; a float would
+# escape as an IndexError, or be truncated where a reading cast it to int.
 SCALAR_READINGS = {
     "mul-left": lambda q, key, s: q.mul(s, 0),
     "mul-right": lambda q, key, s: q.mul(0, s),
@@ -522,12 +530,55 @@ SCALAR_READINGS = {
 }
 
 
-@pytest.mark.parametrize("s", [-1, 5])
+@pytest.mark.parametrize("s", [-1, 5, 1.5, 2.0])
 @pytest.mark.parametrize("reading", SCALAR_READINGS)
 def test_scalar_readings_refuse_non_symbols(reading, s):
     sq = generate_latin(5, b"range")
-    with pytest.raises(ValueError, match=rf"symbol {s} is not in \[0, 5\)"):
+    match = rf"symbol {s} is not in \[0, 5\)"
+    if isinstance(s, float):
+        # no float is a symbol, not even an integral one
+        match = r"symbols must be integers in \[0, 5\), got float64"
+    with pytest.raises(ValueError, match=match):
         SCALAR_READINGS[reading](Quasigroup(sq), KeyAutomaton(5, sq), s)
+
+
+SYMBOL_DTYPES = ["bool", "int8", "uint8", "int16", "uint16", "int64", "uint64", "float64"]
+
+
+@st.composite
+def symbol_candidates(draw):
+    """An order and a small array of one of SYMBOL_DTYPES, whose entries are
+    drawn near the ends of [0, order) as often as across the whole dtype."""
+    order = draw(st.sampled_from([2, 255, 256, 257, 1000, 65535, 65536]))
+    dtype = np.dtype(draw(st.sampled_from(SYMBOL_DTYPES)))
+    elements = hnp.from_dtype(dtype)
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        edges = [v for v in (-1, 0, 1, order - 1, order) if info.min <= v <= info.max]
+        elements = st.one_of(elements, st.sampled_from(edges))
+    shape = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+    return order, draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@given(case=symbol_candidates(), error=st.sampled_from([ValueError, DimensionMismatch, OutOfRange]))
+@settings(max_examples=300, deadline=None)
+def test_require_symbols_matches_reference(case, error):
+    """require_symbols accepts exactly an empty array, or one of an integer
+    dtype whose every entry is in [0, order); it returns the array itself,
+    and otherwise raises `error` naming the first entry outside the range."""
+    order, arr = case
+    integer = arr.dtype.kind in "iu"
+    bad = [int(v) for v in arr.flat if not 0 <= v < order] if integer else list(arr.flat)
+    if arr.size == 0 or (integer and not bad):
+        assert require_symbols(arr, order, error) is arr
+        return
+    with pytest.raises(error) as exc:
+        require_symbols(arr, order, error)
+    assert type(exc.value) is error
+    if integer:
+        assert str(exc.value).startswith(f"symbol {bad[0]} is not in [0, {order})")
+    else:
+        assert f"must be integers in [0, {order})" in str(exc.value)
 
 
 class TestLeftInverse:

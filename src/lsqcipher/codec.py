@@ -30,7 +30,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
-from .latin import MAX_KEY_ORDER, MAX_ORDER, symbol_dtype, symbol_wire_dtype
+from .latin import MAX_KEY_ORDER, MAX_ORDER, require_symbols, symbol_dtype, symbol_wire_dtype
 from .keystream import NONCE_BYTES, SEED_BYTES
 
 KEY_MAGIC = b"LSQKEY\x00\x01"
@@ -191,7 +191,7 @@ def write_container(ct: CipherContainer) -> bytes:
     if ct.payload.ndim != 1:
         raise LengthMismatch(f"payload must be 1-D, got shape {ct.payload.shape}")
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
-    latin.require_symbols(ct.payload, ct.order, OutOfRange)
+    require_symbols(ct.payload, ct.order, OutOfRange)
     # join reads the payload's buffer in place, so the bytes hold its one copy
     wire = ct.payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
     return b"".join((header.pack(), wire, CRC_TRAILER.pack(ct.plaintext_crc)))
@@ -226,7 +226,7 @@ def read_container(data: bytes) -> CipherContainer:
     end = header.size - CRC_TRAILER.size
     wire = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
     payload = wire.astype(symbol_dtype(header.order), copy=False)
-    latin.require_symbols(payload, header.order, OutOfRange)
+    require_symbols(payload, header.order, OutOfRange)
     (crc,) = CRC_TRAILER.unpack_from(data, end)
     return CipherContainer(order=header.order, m=header.m, nonce=header.nonce,
                            payload=payload, plaintext_crc=crc)

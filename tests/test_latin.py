@@ -507,8 +507,8 @@ class TestOperations:
 
 # Each scalar reading of an order-5 key, with symbol s in one argument:
 # (q, key, s) -> value. Python and NumPy index with s, so -1 would wrap round
-# to the table's far end and 5 would escape as an IndexError; a float would
-# escape as an IndexError, or be truncated where a reading cast it to int.
+# to the table's far end, 5 would escape as an IndexError, and a float would
+# escape as one too, or be truncated by a reading that cast it to int.
 SCALAR_READINGS = {
     "mul-left": lambda q, key, s: q.mul(s, 0),
     "mul-right": lambda q, key, s: q.mul(0, s),

@@ -5,15 +5,20 @@ ciphertext symbol and the current plaintext symbol, so observed
 plaintext/ciphertext pairs directly leak Cayley-table cells. The attack
 here harvests those cells; it is a demonstration of the weakness class,
 not a reproduction of any published full cryptanalysis.
+
+Every symbol read from a caller passes latin.require_symbols, once per
+sequence, before it is used: a non-symbol such as 1.7, -1 or the order
+raises ValueError, and none is truncated or recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InconsistentPairs
-from .latin import Quasigroup
+from .latin import Quasigroup, require_symbols
 
 #: marker for an undecodable position in attack output (out of any alphabet)
 UNKNOWN = -1
@@ -21,29 +26,24 @@ UNKNOWN = -1
 
 @dataclass(frozen=True)
 class LeaderCipher:
-    """The leader cipher over q. Its symbols and leader go to q.mul and
-    q.left_div as given, so a non-symbol such as 1.9 raises ValueError."""
+    """The leader cipher over q. Each call checks the leader and its
+    message together by require_symbols, then reads q's Cayley table, or
+    its cached row inverse to decrypt, as fold_mul does."""
 
     q: Quasigroup
     leader: int
 
     def encrypt(self, plaintext: Sequence[int]) -> list[int]:
         """c_1 = leader * p_1, then c_i = c_{i-1} * p_i."""
-        out = []
-        prev = self.leader
-        for p in plaintext:
-            prev = self.q.mul(prev, p)
-            out.append(prev)
-        return out
+        t = self.q.cayley.entries
+        leader, *message = require_symbols((self.leader, *plaintext), self.q.order).tolist()
+        return list(accumulate(message, lambda c, p: int(t[c, p]), initial=leader))[1:]
 
     def decrypt(self, ciphertext: Sequence[int]) -> list[int]:
-        """p_1 = leader \\ c_1, then p_i = c_{i-1} \\ c_i."""
-        out = []
-        prev = self.leader
-        for c in ciphertext:
-            out.append(self.q.left_div(prev, c))
-            prev = c
-        return out
+        """p_1 = leader \\ c_1, then p_i = c_{i-1} \\ c_i: one gather, since
+        every c_{i-1} is known."""
+        c = require_symbols((self.leader, *ciphertext), self.q.order)
+        return self.q.cayley.row_inverse().entries[c[:-1], c[1:]].tolist()
 
 
 @dataclass
@@ -65,24 +65,11 @@ class RecoveredKnowledge:
         cell x*p_1 is known and differs from c_1, or c_1 already appears
         elsewhere in row x (rows are permutations).
         """
-        candidates = set()
-        for x in range(self.order):
-            row = {y: z for (rx, y), z in self.triples.items() if rx == x}
-            ok = True
-            for p1, c1 in self.first_symbol.items():
-                if p1 in row:
-                    if row[p1] != c1:
-                        ok = False
-                        break
-                elif c1 in row.values():
-                    ok = False
-                    break
-            if ok:
-                candidates.add(x)
-        return candidates
-
-    def _decode_map(self) -> dict[tuple[int, int], int]:
-        return {(x, z): y for (x, y), z in self.triples.items()}
+        held = {(x, z) for (x, _), z in self.triples.items()}
+        return {x for x in range(self.order)
+                if all(self.triples[x, p1] == c1 if (x, p1) in self.triples
+                       else (x, c1) not in held
+                       for p1, c1 in self.first_symbol.items())}
 
 
 def known_plaintext_learn(
@@ -91,52 +78,44 @@ def known_plaintext_learn(
 ) -> RecoveredKnowledge:
     """Harvest x*y = z cells from (plaintext, ciphertext) pairs of one cipher.
 
-    Raises InconsistentPairs when two observations disagree on the same
-    cell (or the same first plaintext symbol), which also happens by design
-    when this learning rule is fed keystream-cipher transcripts.
+    Each plaintext and ciphertext is checked by require_symbols before any
+    of its pair is recorded. Raises InconsistentPairs for a pair of unequal
+    lengths, or when two observations disagree on the same cell (or the
+    same first plaintext symbol), which also happens by design when this
+    learning rule is fed keystream-cipher transcripts.
     """
     know = RecoveredKnowledge(order=order)
     for plaintext, ciphertext in pairs:
         if len(plaintext) != len(ciphertext):
             raise InconsistentPairs("pair lengths differ")
-        for i, (p, c) in enumerate(zip(plaintext, ciphertext)):
-            p, c = int(p), int(c)
-            if i == 0:
-                seen = know.first_symbol.get(p)
-                if seen is not None and seen != c:
-                    raise InconsistentPairs(
-                        f"first symbol {p} encrypted to both {seen} and {c}")
-                know.first_symbol[p] = c
-            else:
-                cell = (int(ciphertext[i - 1]), p)
-                seen = know.triples.get(cell)
-                if seen is not None and seen != c:
-                    raise InconsistentPairs(
-                        f"cell {cell} observed as both {seen} and {c}")
-                know.triples[cell] = c
+        p, c = (require_symbols(s, order).tolist() for s in (plaintext, ciphertext))
+        if p:
+            seen = know.first_symbol.setdefault(p[0], c[0])
+            if seen != c[0]:
+                raise InconsistentPairs(
+                    f"first symbol {p[0]} encrypted to both {seen} and {c[0]}")
+        for cell, z in zip(zip(c, p[1:]), c[1:]):
+            seen = know.triples.setdefault(cell, z)
+            if seen != z:
+                raise InconsistentPairs(f"cell {cell} observed as both {seen} and {z}")
     return know
 
 
 def attack_decrypt(know: RecoveredKnowledge, ciphertext: Sequence[int]) -> list[int]:
     """Decrypt with learned cells only; undecodable positions get UNKNOWN.
 
-    Position 1 decodes only when a single leader candidate remains and its
-    row covers c_1.
+    The ciphertext is checked by require_symbols. Position i > 1 decodes
+    through the learned cell in row c_{i-1} that holds c_i. Position 1
+    decodes from a first-symbol observation of c_1, or else through the
+    leader's row when a single leader candidate remains.
     """
-    decode = know._decode_map()
-    first_inv = {c1: p1 for p1, c1 in know.first_symbol.items()}
-    out = []
-    candidates = know.leader_candidates
-    for i, c in enumerate(ciphertext):
-        c = int(c)
-        if i == 0:
-            if c in first_inv:
-                out.append(first_inv[c])
-            elif len(candidates) == 1:
-                (leader,) = candidates
-                out.append(decode.get((leader, c), UNKNOWN))
-            else:
-                out.append(UNKNOWN)
-        else:
-            out.append(decode.get((int(ciphertext[i - 1]), c), UNKNOWN))
+    c = require_symbols(ciphertext, know.order).tolist()
+    leaders = know.leader_candidates
+    # None, the row before c_1 while the leader is unsettled, heads no cell
+    rows = [leaders.pop() if len(leaders) == 1 else None, *c]
+    decode = {(x, z): y for (x, y), z in know.triples.items()}
+    out = [decode.get(cell, UNKNOWN) for cell in zip(rows, c)]
+    first = {c1: p1 for p1, c1 in know.first_symbol.items()}
+    if c and c[0] in first:
+        out[0] = first[c[0]]
     return out

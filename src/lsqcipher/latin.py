@@ -58,6 +58,9 @@ def holds_only_symbols(dtype, order: int) -> bool:
     return dtype.kind == "u" and np.iinfo(dtype).max < order
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def require_symbols(values, order: int, error: type[Exception] = ValueError) -> np.ndarray:
     """`values`, one symbol, a tuple of them or an array, as an array whose
     entries are all symbols: integers in [0, order). This is the package's
@@ -69,8 +72,16 @@ def require_symbols(values, order: int, error: type[Exception] = ValueError) -> 
     outside the range, which a lookup would wrap round or escape. Scans
     only what the dtype does not rule out: nothing for an empty array or
     under holds_only_symbols, and no minimum of an unsigned type.
+
+    A bool is not a symbol either, but NumPy promotes one among integers
+    to 0 or 1, so a bool entry of a tuple or list is refused as a bool
+    array is. An array argument skips that scan.
     """
     arr = np.asarray(values)
+    if (isinstance(values, (tuple, list)) and arr.dtype.kind in "iu"
+            and not _BOOL_TYPES.isdisjoint(map(type, values))):
+        # the first bool alone, which the dtype check below refuses
+        arr = np.asarray(next(v for v in values if type(v) in _BOOL_TYPES))
     if not arr.size or holds_only_symbols(arr.dtype, order):
         return arr
     if not np.issubdtype(arr.dtype, np.integer):

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsqcipher.cipher import CipherSession
 from lsqcipher.classical import (
     UNKNOWN,
     LeaderCipher,
+    RecoveredKnowledge,
     attack_decrypt,
     known_plaintext_learn,
 )
@@ -160,3 +163,91 @@ class TestAttackDecrypt:
         guess = attack_decrypt(know, lc.encrypt(held_out))
         accuracy = sum(g == t for g, t in zip(guess, held_out)) / 64
         assert accuracy >= 0.99
+
+
+# Each caller-facing reading of the attack, with symbol s at one position of
+# an order-5 sequence. An int() of the symbol would learn 1.7 as 1, and an
+# unchecked one would record -1 or 5 as a cell or decode it to UNKNOWN.
+ATTACK_READINGS = {
+    "learn-plain-first": lambda s: known_plaintext_learn(5, [([s, 1, 2], [0, 1, 2])]),
+    "learn-plain-later": lambda s: known_plaintext_learn(5, [([0, 1, s], [0, 1, 2])]),
+    "learn-cipher-first": lambda s: known_plaintext_learn(5, [([0, 1, 2], [s, 1, 2])]),
+    "learn-cipher-later": lambda s: known_plaintext_learn(5, [([0, 1, 2], [0, 1, s])]),
+    "attack-first": lambda s: attack_decrypt(known_plaintext_learn(5, []), [s, 1]),
+    "attack-later": lambda s: attack_decrypt(known_plaintext_learn(5, []), [1, s]),
+}
+
+
+@pytest.mark.parametrize("s", [-1, 5, 1.5])
+@pytest.mark.parametrize("reading", ATTACK_READINGS)
+def test_attack_refuses_non_symbols(reading, s):
+    match = rf"symbol {s} is not in \[0, 5\)"
+    if isinstance(s, float):
+        match = r"symbols must be integers in \[0, 5\), got float64"
+    with pytest.raises(ValueError, match=match):
+        ATTACK_READINGS[reading](s)
+
+
+def reference_leader_candidates(know):
+    """leader_candidates as first written: a row dict rebuilt per candidate."""
+    candidates = set()
+    for x in range(know.order):
+        row = {y: z for (rx, y), z in know.triples.items() if rx == x}
+        ok = True
+        for p1, c1 in know.first_symbol.items():
+            if p1 in row:
+                if row[p1] != c1:
+                    ok = False
+                    break
+            elif c1 in row.values():
+                ok = False
+                break
+        if ok:
+            candidates.add(x)
+    return candidates
+
+
+def reference_attack_decrypt(know, ciphertext):
+    """attack_decrypt as first written, one position at a time."""
+    decode = {(x, z): y for (x, y), z in know.triples.items()}
+    first_inv = {c1: p1 for p1, c1 in know.first_symbol.items()}
+    out = []
+    candidates = reference_leader_candidates(know)
+    for i, c in enumerate(ciphertext):
+        if i == 0:
+            if c in first_inv:
+                out.append(first_inv[c])
+            elif len(candidates) == 1:
+                (leader,) = candidates
+                out.append(decode.get((leader, c), UNKNOWN))
+            else:
+                out.append(UNKNOWN)
+        else:
+            out.append(decode.get((ciphertext[i - 1], c), UNKNOWN))
+    return out
+
+
+@st.composite
+def knowledge_and_ciphertext(draw):
+    """Knowledge with arbitrary cells and first-symbol observations, which
+    need not come from any Latin table: a row may hold one value twice, or
+    contradict an observation. Then a ciphertext to decode with it.
+
+    The cells are a drawn subset of a table of arbitrary values, so rows are
+    often full enough to leave a single leader candidate."""
+    order = draw(st.integers(2, 6))
+    sym = st.integers(0, order - 1)
+    cells = order * order
+    values = draw(st.lists(sym, min_size=cells, max_size=cells))
+    kept = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    triples = {divmod(i, order): z for i, (z, k) in enumerate(zip(values, kept)) if k}
+    know = RecoveredKnowledge(order, triples, draw(st.dictionaries(sym, sym, max_size=order)))
+    return know, draw(st.lists(sym, max_size=8))
+
+
+@given(case=knowledge_and_ciphertext())
+@settings(max_examples=500, deadline=None)
+def test_attack_matches_reference(case):
+    know, ciphertext = case
+    assert know.leader_candidates == reference_leader_candidates(know)
+    assert attack_decrypt(know, ciphertext) == reference_attack_decrypt(know, ciphertext)

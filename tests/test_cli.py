@@ -762,6 +762,17 @@ class TestInspect:
 
 
 class TestAttackDemo:
+    def test_defaults_pinned(self, capsys):
+        # the report at the defaults, order 16 and seed 0, which the CI
+        # smoke step pins too
+        assert main(["attack-demo"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "order: 16, known pairs: 200 x 64 symbols",
+            "learned table cells: 256 / 256",
+            "leader candidates: [4] (true leader: 4)",
+            "held-out recovery: 64/64 symbols (100.0%), 0 marked unknown",
+        ]
+
     def test_default_report(self, capsys):
         assert main(["attack-demo", "-n", "16", "--messages", "50",
                      "--length", "32"]) == 0

@@ -530,14 +530,15 @@ SCALAR_READINGS = {
 }
 
 
-@pytest.mark.parametrize("s", [-1, 5, 1.5, 2.0])
+@pytest.mark.parametrize("s", [-1, 5, 1.5, 2.0, True])
 @pytest.mark.parametrize("reading", SCALAR_READINGS)
 def test_scalar_readings_refuse_non_symbols(reading, s):
     sq = generate_latin(5, b"range")
     match = rf"symbol {s} is not in \[0, 5\)"
-    if isinstance(s, float):
-        # no float is a symbol, not even an integral one
-        match = r"symbols must be integers in \[0, 5\), got float64"
+    if isinstance(s, (float, bool)):
+        # no float is a symbol, not even an integral one, and no bool is,
+        # though NumPy promotes True among integers to 1
+        match = rf"symbols must be integers in \[0, 5\), got {np.asarray(s).dtype}"
     with pytest.raises(ValueError, match=match):
         SCALAR_READINGS[reading](Quasigroup(sq), KeyAutomaton(5, sq), s)
 

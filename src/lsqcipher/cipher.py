@@ -31,7 +31,7 @@ import numpy as np
 from .automaton import KeyAutomaton
 from .errors import NonceReuse
 from .keystream import KeystreamReader, KeystreamSpec
-from .latin import require_symbols
+from .latin import require_symbols, symbol_array
 
 ENGINES = ("fa", "qg")
 
@@ -88,22 +88,11 @@ class CipherSession:
     def _message(self, seq, table: np.ndarray, reverse: bool, final: bool) -> np.ndarray:
         if self._done or self._open not in (None, reverse):
             raise NonceReuse("session already processed a message; use a fresh nonce")
-        symbols = _as_symbols(seq, self.key.order)
+        # an array or a byte string reaches _chain as the caller's buffer
+        msg = symbol_array(seq, ndim=1)
+        require_symbols(msg, self.key.order)
         self._open, self._done = reverse, final
-        return _chain(table, symbols, self.stream, self.m, reverse)
-
-
-def _as_symbols(seq, order: int) -> np.ndarray:
-    """The message as a 1-D array of symbols, without copying an array or a
-    byte string. Its symbols are checked by require_symbols, which scans
-    them only if the dtype can hold a value outside [0, order)."""
-    if isinstance(seq, (bytes, bytearray)):
-        arr = np.frombuffer(seq, dtype=np.uint8)
-    else:
-        arr = np.asarray(seq)
-    if arr.ndim != 1:
-        raise ValueError(f"a message must be a 1-D sequence of symbols, got shape {arr.shape}")
-    return require_symbols(arr, order)
+        return _chain(table, msg, self.stream, self.m, reverse)
 
 
 def _index_dtype(n: int) -> np.dtype:

@@ -188,12 +188,15 @@ def key_fingerprint(data) -> str:
 
 
 def write_container(ct: CipherContainer) -> bytes:
-    if ct.payload.ndim != 1:
-        raise LengthMismatch(f"payload must be 1-D, got shape {ct.payload.shape}")
-    header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(ct.payload))
-    require_symbols(ct.payload, ct.order, OutOfRange)
+    """Serialize a container. Its payload may be an array, a list or a
+    tuple of symbols, and a sequence is written as the equal array is.
+    Raises LengthMismatch for a payload that is not 1-D and OutOfRange for
+    an entry that is not a symbol of the container's order."""
+    payload = latin.symbol_array(ct.payload, LengthMismatch, ndim=1)
+    header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(payload))
+    require_symbols(payload, ct.order, OutOfRange)
     # join reads the payload's buffer in place, so the bytes hold its one copy
-    wire = ct.payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
+    wire = payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
     return b"".join((header.pack(), wire, CRC_TRAILER.pack(ct.plaintext_crc)))
 
 

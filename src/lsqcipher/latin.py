@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -61,10 +62,57 @@ def holds_only_symbols(dtype, order: int) -> bool:
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
+def symbol_array(values, error: type[Exception] = ValueError,
+                 ndim: int | None = None) -> np.ndarray:
+    """`values` as an array, whose shape a boundary checks before
+    require_symbols checks its entries: the one place where a caller's
+    object turns into an array.
+
+    An array comes back as itself and a bytes or bytearray as a uint8 view
+    of it, so neither is copied or scanned. Ragged rows raise `error`, and
+    so does an array that is not `ndim`-D when `ndim` is given, before any
+    entry is checked.
+
+    A bool is not a symbol, but NumPy promotes one among integers to 0 or
+    1. So a list or tuple of integers, and each row of a 2-D one, is
+    scanned for a bool, and one that holds a bool comes back as that bool
+    broadcast to its shape: the shape checks see the caller's shape, and
+    require_symbols refuses the bool by name.
+    """
+    if isinstance(values, (bytes, bytearray)):
+        values = np.frombuffer(values, dtype=np.uint8)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise error(f"symbols must not come in ragged rows: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise error(f"symbols must form a {ndim}-D array, got shape {arr.shape}")
+    if isinstance(values, (tuple, list)) and arr.dtype.kind in "iu":
+        rows = [values] if arr.ndim < 2 else values
+        if not _BOOL_TYPES.isdisjoint(chain.from_iterable(map(type, row) for row in rows)):
+            bad = next(v for row in rows for v in row if type(v) in _BOOL_TYPES)
+            arr = np.broadcast_to(np.asarray(bad), arr.shape)
+    return arr
+
+
 def require_symbols(values, order: int, error: type[Exception] = ValueError) -> np.ndarray:
-    """`values`, one symbol, a tuple of them or an array, as an array whose
-    entries are all symbols: integers in [0, order). This is the package's
-    one rule for what a symbol is; each boundary passes its own `error`.
+    """`values`, one symbol, a sequence of them or an array, as an array
+    whose entries are all symbols: integers in [0, order). This is the
+    package's one rule for what a symbol is; each boundary passes its own
+    `error`. The input becomes an array through symbol_array, so an array
+    or a byte string is neither copied nor scanned for bools, and a bool in
+    a list or tuple, or in a row of one, is refused.
+
+    The boundaries, and what each takes:
+    - CipherSession messages (ValueError): a 1-D array, bytes, list or
+      tuple; the kernel's keystream symbols, an array per chunk;
+    - validate_latin (DimensionMismatch): a square 2-D array, or a list or
+      tuple of rows; LatinSquare (DimensionMismatch): an array alone;
+    - write_container payloads: a 1-D array, list or tuple (LengthMismatch
+      for the shape, OutOfRange for the entries); read_container and the
+      CLI check wire arrays (OutOfRange);
+    - the scalar readings, LeaderCipher and the attack (ValueError): single
+      symbols and sequences of them.
 
     Raises `error` for a dtype that is not an integer type, naming the
     first entry, since every entry is refused: 2.0 is not a symbol, so no
@@ -72,16 +120,8 @@ def require_symbols(values, order: int, error: type[Exception] = ValueError) -> 
     outside the range, which a lookup would wrap round or escape. Scans
     only what the dtype does not rule out: nothing for an empty array or
     under holds_only_symbols, and no minimum of an unsigned type.
-
-    A bool is not a symbol either, but NumPy promotes one among integers
-    to 0 or 1, so a bool entry of a tuple or list is refused as a bool
-    array is. An array argument skips that scan.
     """
-    arr = np.asarray(values)
-    if (isinstance(values, (tuple, list)) and arr.dtype.kind in "iu"
-            and not _BOOL_TYPES.isdisjoint(map(type, values))):
-        # the first bool alone, which the dtype check below refuses
-        arr = np.asarray(next(v for v in values if type(v) in _BOOL_TYPES))
+    arr = symbol_array(values, error)
     if not arr.size or holds_only_symbols(arr.dtype, order):
         return arr
     if not np.issubdtype(arr.dtype, np.integer):
@@ -237,11 +277,8 @@ def validate_latin(table: Sequence[Sequence[int]] | np.ndarray,
     columns, lowest index first) and the first symbol it repeats in scan
     order. The square owns a copy of the table.
     """
-    try:
-        arr = np.asarray(table)
-    except ValueError as exc:  # rows of unequal length
-        raise DimensionMismatch(f"expected a square table: {exc}") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = symbol_array(table, DimensionMismatch, ndim=2)
+    if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square table, got shape {arr.shape}")
     n = arr.shape[0]
     _check_key_order(n)
@@ -288,12 +325,9 @@ def generate_latin(order: int, seed: bytes, walk_steps: int = 0) -> LatinSquare:
     if walk_steps < 0:
         raise ValueError("walk steps must be >= 0")
     rng = _seeded_rng(order, seed, b"lsq-isotopy")
-    row_p = list(range(order))
-    col_p = list(range(order))
-    sym_p = list(range(order))
-    rng.shuffle(row_p)
-    rng.shuffle(col_p)
-    rng.shuffle(sym_p)
+    row_p, col_p, sym_p = (list(range(order)) for _ in range(3))
+    for perm in (row_p, col_p, sym_p):
+        rng.shuffle(perm)
     # window[r, c] = sym_p[(r + c) % order], a view of the doubled permutation
     window = sliding_window_view(np.asarray(sym_p + sym_p, dtype=symbol_dtype(order)), order)
     table = window[np.ix_(row_p, col_p)]

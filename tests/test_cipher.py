@@ -400,6 +400,33 @@ def test_caller_symbols_read_in_place_and_never_written(key256, method, m):
         assert np.array_equal(given, saved)
 
 
+@pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])
+@pytest.mark.parametrize("form", ["ndarray", "bytes", "bytearray"])
+def test_message_reaches_the_kernel_as_the_callers_buffer(key256, monkeypatch, method, form):
+    # An array or a byte string is converted without a copy, in one call
+    # and in final=False parts alike: the kernel's start symbols are the
+    # caller's own buffer.
+    data = np.random.default_rng(12).integers(0, 256, 1000).astype(np.uint8)
+    wrap = {"ndarray": lambda a: a, "bytes": lambda a: a.tobytes(),
+            "bytearray": lambda a: bytearray(a.tobytes())}[form]
+    starts = []
+    chain = cipher._chain
+
+    def spy(table, start, *args):
+        starts.append(start)
+        return chain(table, start, *args)
+    monkeypatch.setattr(cipher, "_chain", spy)
+    whole = wrap(data)
+    getattr(session(key256), method)(whole)
+    parts = [wrap(data[:300]), wrap(data[300:])]
+    process = getattr(session(key256), method)
+    process(parts[0], final=False)
+    process(parts[1])
+    assert len(starts) == 3
+    for given, start in zip([whole, *parts], starts):
+        assert np.shares_memory(start, np.frombuffer(given, dtype=np.uint8))
+
+
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),
        nonce=st.binary(min_size=12, max_size=12),
        engine=st.sampled_from(["fa", "qg"]))

@@ -136,9 +136,7 @@ def test_shape_is_refused_before_the_symbols(entry, shape):
     with pytest.raises(error) as exc:
         call(SHAPES[shape](ndim))
     assert type(exc.value) is error
-    assert "integers" not in str(exc.value)
-    if shape not in ("ragged", "ragged-tuple"):
-        assert f"{ndim}-D" in str(exc.value)
+    assert "shape" in str(exc.value) and "integers" not in str(exc.value)
 
 
 @pytest.mark.parametrize("form", [list, tuple])

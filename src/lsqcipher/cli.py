@@ -156,14 +156,30 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     """Run the next `count` bytes of `src` through the session method
     `message` into `dst`, one IO_CHUNK part at a time.
 
+    When `dst` is a regular file, each part is flushed and its own byte
+    range hinted POSIX_FADV_DONTNEED as soon as it is written. On Linux that
+    starts the range's writeback without waiting for it and drops only
+    pages already clean, so the rename that replaces an existing `--out`
+    finds the file mostly written, while the parts stay cached for whoever
+    reads the output next. A hint that fails is ignored: it is only a hint.
+
     Returns the CRC-32 of the plaintext side: the input when `plain_in`,
     else the output. Raises OSError if `src` ends early.
     """
     crc = 0
+    fd = dst.fileno()
+    # a pipe or a device takes no hint: posix_fadvise on a pipe is ESPIPE
+    fadvise = getattr(os, "posix_fadvise", None) if stat.S_ISREG(os.fstat(fd).st_mode) else None
+    start = dst.tell() if fadvise else 0
     for part in _parts(src, count, np.uint8):
         count -= len(part)
         out = message(part, final=not count)
         dst.write(out)
+        if fadvise:
+            dst.flush()
+            with contextlib.suppress(OSError):
+                fadvise(fd, start, out.nbytes, os.POSIX_FADV_DONTNEED)
+            start += out.nbytes
         crc = zlib.crc32(part if plain_in else out, crc)
     return crc
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -53,10 +52,10 @@ def symbol_wire_dtype(order: int) -> np.dtype:
 
 def holds_only_symbols(dtype, order: int) -> bool:
     """True when no value of `dtype` lies outside [0, order): an unsigned
-    type whose maximum is below the order, as one byte is at order 256.
-    An array of such a type needs no range scan."""
+    type whose 2**bits values all fit below the order, as one byte's do at
+    order 256. An array of such a type needs no range scan."""
     dtype = np.dtype(dtype)
-    return dtype.kind == "u" and np.iinfo(dtype).max < order
+    return dtype.kind == "u" and 1 << 8 * dtype.itemsize <= order
 
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -75,9 +74,11 @@ def symbol_array(values, error: type[Exception] = ValueError,
 
     A bool is not a symbol, but NumPy promotes one among integers to 0 or
     1. So a list or tuple of integers, and each row of a 2-D one, is
-    scanned for a bool, and one that holds a bool comes back as that bool
+    checked for a bool, and one that holds a bool comes back as that bool
     broadcast to its shape: the shape checks see the caller's shape, and
-    require_symbols refuses the bool by name.
+    require_symbols refuses the bool by name. A row that is an array is
+    judged by its dtype alone; only a Python sequence is scanned item by
+    item.
     """
     if isinstance(values, (bytes, bytearray)):
         values = np.frombuffer(values, dtype=np.uint8)
@@ -89,10 +90,22 @@ def symbol_array(values, error: type[Exception] = ValueError,
         raise error(f"symbols must form a {ndim}-D array, got shape {arr.shape}")
     if isinstance(values, (tuple, list)) and arr.dtype.kind in "iu":
         rows = [values] if arr.ndim < 2 else values
-        if not _BOOL_TYPES.isdisjoint(chain.from_iterable(map(type, row) for row in rows)):
-            bad = next(v for row in rows for v in row if type(v) in _BOOL_TYPES)
+        bad = next(_bools(rows), None)
+        if bad is not None:
             arr = np.broadcast_to(np.asarray(bad), arr.shape)
     return arr
+
+
+def _bools(rows):
+    """The bools in `rows`, lazily. A row that is an array is never
+    iterated, so no NumPy scalar is made per entry: it yields its first
+    entry if its dtype is bool. Any other row is scanned item by item."""
+    for row in rows:
+        if isinstance(row, np.ndarray):
+            if row.dtype == bool and row.size:
+                yield row.flat[0]
+        elif not _BOOL_TYPES.isdisjoint(map(type, row)):
+            yield from (v for v in row if type(v) in _BOOL_TYPES)
 
 
 def require_symbols(values, order: int, error: type[Exception] = ValueError) -> np.ndarray:

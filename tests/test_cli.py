@@ -24,6 +24,7 @@ from lsqcipher.cli import (
     main,
 )
 from lsqcipher.codec import (
+    HEADER_BYTES,
     KEY_MAGIC,
     CipherContainer,
     ContainerHeader,
@@ -553,6 +554,70 @@ class TestOutputReplaced:
         assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
                      "--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not hasattr(os, "POSIX_FADV_DONTNEED"), reason="needs posix_fadvise")
+class TestWriteBehind:
+    """encrypt and decrypt start each part's writeback as soon as it is in a
+    regular output, with one POSIX_FADV_DONTNEED hint on that part's own
+    range; an output that is not a regular file takes no hint."""
+
+    SIZE = 3 * MIB + 5  # several IO_CHUNK parts and a short last one
+
+    @pytest.fixture
+    def hints(self, monkeypatch):
+        """Every hint from now on, with the size of its file when hinted."""
+        hints = []
+
+        def posix_fadvise(fd, offset, length, advice):
+            assert advice == os.POSIX_FADV_DONTNEED
+            hints.append((offset, length, os.fstat(fd).st_size))
+        monkeypatch.setattr(os, "posix_fadvise", posix_fadvise)
+        return hints
+
+    def test_each_part_hinted_once_written(self, tmp_path, keyfile, hints):
+        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
+        src.write_bytes(os.urandom(self.SIZE))
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
+                     "-m", "1"]) == 0
+        encrypted = hints[:]
+        hints.clear()
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]) == 0
+        assert back.read_bytes() == src.read_bytes()
+        # the payload starts after the container header, the plaintext at 0
+        for got, start in ((encrypted, HEADER_BYTES), (hints, 0)):
+            assert len(got) == -(-self.SIZE // cli.IO_CHUNK)
+            for offset, length, size in got:
+                assert offset == start and size >= offset + length
+                start += length
+            assert start - got[0][0] == self.SIZE
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_out_takes_no_hint(self, tmp_path, keyfile, hints):
+        src, fifo, ct, back = (tmp_path / name for name in ("plain", "fifo", "ct", "back"))
+        src.write_bytes(os.urandom(self.SIZE))
+        os.mkfifo(fifo)
+        drained = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                drained.append(fh.read())
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                         "--out", str(fifo)]) == 0
+        finally:
+            if not drained:
+                # a run that never opened the FIFO would leave the reader
+                # blocked in open: a writer that closes at once ends it
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert hints == []
+        ct.write_bytes(drained[0])
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]) == 0
+        assert back.read_bytes() == src.read_bytes()
 
 
 def loaded_keys(monkeypatch):

@@ -16,7 +16,7 @@ from lsqcipher.classical import (LeaderCipher, RecoveredKnowledge, attack_decryp
 from lsqcipher.codec import CipherContainer, read_container, write_container
 from lsqcipher.errors import DimensionMismatch, LengthMismatch, OutOfRange
 from lsqcipher.latin import (LatinSquare, Quasigroup, fold_left_div, fold_mul, generate_latin,
-                             validate_latin)
+                             holds_only_symbols, validate_latin)
 
 from conftest import cyclic_table
 
@@ -149,3 +149,27 @@ def test_sequence_payload_written_as_the_equal_array(form, order):
                                           payload=form(symbols)))
     assert got == want
     assert read_container(got).payload.tolist() == symbols
+
+
+class NoIter(np.ndarray):
+    """An array that may not be iterated, to show a row is judged by dtype."""
+
+    def __iter__(self):
+        raise AssertionError("an array row was iterated")
+
+
+def test_array_rows_are_judged_by_their_dtype():
+    rows = [row.view(NoIter) for row in SQUARE.entries]
+    assert validate_latin(rows) == SQUARE
+    rows = [np.array(row, dtype=np.int64) for row in cyclic_table(N)]
+    rows[2] = rows[2].astype(bool)
+    with pytest.raises(DimensionMismatch, match="got bool symbol"):
+        validate_latin(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.dtype(c) for c in "?d" + np.typecodes["AllInteger"]]
+                         + [np.dtype(">u2")], ids=str)
+@pytest.mark.parametrize("order", [2, 255, 256, 257, 65535, 65536, 65537])
+def test_holds_only_symbols_by_width(dtype, order):
+    want = dtype.kind == "u" and np.iinfo(dtype).max < order
+    assert holds_only_symbols(dtype, order) is want

@@ -163,7 +163,7 @@ def test_array_rows_are_judged_by_their_dtype():
     assert validate_latin(rows) == SQUARE
     rows = [np.array(row, dtype=np.int64) for row in cyclic_table(N)]
     rows[2] = rows[2].astype(bool)
-    with pytest.raises(DimensionMismatch, match="got bool symbol"):
+    with pytest.raises(DimensionMismatch, match="got bool symbol True"):
         validate_latin(rows)
 
 

@@ -5,7 +5,7 @@ finite key automaton or as a quasigroup; plus the classical leader-based
 quasigroup cipher for contrast, binary key/container formats, and a CLI.
 """
 
-from .automaton import KeyAutomaton, Trajectory, reverse_run
+from .automaton import KeyAutomaton, reverse_run
 from .cipher import CipherSession
 from .classical import (
     UNKNOWN,
@@ -34,7 +34,7 @@ from .latin import (
 from . import errors
 
 __all__ = [
-    "KeyAutomaton", "Trajectory", "reverse_run",
+    "KeyAutomaton", "reverse_run",
     "CipherSession",
     "UNKNOWN", "LeaderCipher", "RecoveredKnowledge",
     "attack_decrypt", "known_plaintext_learn",

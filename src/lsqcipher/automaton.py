@@ -1,4 +1,4 @@
-"""Key automata, inverse key automata, and state trajectories.
+"""Key automata and inverse key automata.
 
 Table orientation follows the serialized convention: rows are inputs,
 columns are states, so step(a, x) reads delta.entries[x][a]. Under the
@@ -13,18 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .latin import LatinSquare, Quasigroup, require_symbols, validate_latin
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    start: int
-    inputs: tuple[int, ...]
-    states: tuple[int, ...]
-
-    def last(self) -> int:
-        if not self.states:
-            raise EmptyInput("last state of an empty trajectory is undefined")
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -44,30 +32,30 @@ class KeyAutomaton:
         return cls(sq.order, sq)
 
     def step(self, a: int, x: int) -> int:
-        """delta(a, x): next state from state a on input x."""
-        a, x = require_symbols((a, x), self.order).tolist()
-        return int(self.delta.entries[x, a])
+        """delta(a, x): next state from state a on input x, a one-symbol run."""
+        return self.last_state(a, (x,))
 
-    def run(self, a: int, w: Iterable[int]) -> Trajectory:
-        """The full state trajectory of reading word w from state a.
-
-        An empty word yields an empty trajectory. The start state and the
-        word are checked together by require_symbols before the first
-        lookup: a float such as 1.7 is refused, not truncated.
+    def run(self, a: int, w: Iterable[int]) -> tuple[int, ...]:
+        """The states visited reading word w from state a, in order; the
+        empty word visits none. The start state and the word are checked
+        together by require_symbols before the first lookup: a float such
+        as 1.7 is refused, not truncated.
         """
         t = self.delta.entries
         # one read of w, so an iterator word works
-        a, *inputs = require_symbols((a, *w), self.order).tolist()
+        cur, *inputs = require_symbols((a, *w), self.order).tolist()
         states = []
-        cur = a
         for x in inputs:
             cur = int(t[x, cur])
             states.append(cur)
-        return Trajectory(a, tuple(inputs), tuple(states))
+        return tuple(states)
 
     def last_state(self, a: int, w: Sequence[int]) -> int:
         """The last state of run(a, w); EmptyInput for the empty word."""
-        return self.run(a, w).last()
+        states = self.run(a, w)
+        if not states:
+            raise EmptyInput("the last state of an empty word is undefined")
+        return states[-1]
 
     def invert(self) -> "KeyAutomaton":
         """The unique automaton B with delta_B(delta(a, b), b) = a.

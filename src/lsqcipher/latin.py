@@ -58,7 +58,8 @@ def holds_only_symbols(dtype, order: int) -> bool:
     return dtype.kind == "u" and 1 << 8 * dtype.itemsize <= order
 
 
-_BOOL_TYPES = frozenset((bool, np.bool_))
+# The types of the entries that may be a bool: a 0-d bool array is one too.
+_MAYBE_BOOL = frozenset((bool, np.bool_, np.ndarray))
 
 
 def symbol_array(values, error: type[Exception] = ValueError,
@@ -73,12 +74,12 @@ def symbol_array(values, error: type[Exception] = ValueError,
     entry is checked.
 
     A bool is not a symbol, but NumPy promotes one among integers to 0 or
-    1. So a list or tuple of integers, and each row of a 2-D one, is
-    checked for a bool, and one that holds a bool comes back as that bool
-    broadcast to its shape: the shape checks see the caller's shape, and
-    require_symbols refuses the bool by name. A row that is an array is
-    judged by its dtype alone; only a Python sequence is scanned item by
-    item.
+    1, and so does a 0-d bool array. So a list or tuple of integers, and
+    each row of a 2-D one, is checked for a bool, and one that holds a bool
+    comes back as that bool broadcast to its shape: the shape checks see
+    the caller's shape, and require_symbols refuses the bool by name. A row
+    that is an array is judged by its dtype alone; only a Python sequence
+    is scanned item by item.
     """
     if isinstance(values, (bytes, bytearray)):
         values = np.frombuffer(values, dtype=np.uint8)
@@ -97,15 +98,18 @@ def symbol_array(values, error: type[Exception] = ValueError,
 
 
 def _bools(rows):
-    """The bools in `rows`, lazily. A row that is an array is never
-    iterated, so no NumPy scalar is made per entry: it yields its first
-    entry if its dtype is bool. Any other row is scanned item by item."""
+    """The bools in `rows`, 0-d bool arrays among them, lazily. A row that
+    is an array is never iterated, so no NumPy scalar is made per entry: it
+    yields its first entry if its dtype is bool. Any other row is scanned
+    item by item, and only one that holds a bool or an array is scanned a
+    second time."""
     for row in rows:
         if isinstance(row, np.ndarray):
             if row.dtype == bool and row.size:
                 yield row.flat[0]
-        elif not _BOOL_TYPES.isdisjoint(map(type, row)):
-            yield from (v for v in row if type(v) in _BOOL_TYPES)
+        elif not _MAYBE_BOOL.isdisjoint(map(type, row)):
+            yield from (v for v in row
+                        if type(v) in _MAYBE_BOOL and np.asarray(v).dtype == bool)
 
 
 def require_symbols(values, order: int, error: type[Exception] = ValueError) -> np.ndarray:
@@ -137,7 +141,7 @@ def require_symbols(values, order: int, error: type[Exception] = ValueError) -> 
     arr = symbol_array(values, error)
     if not arr.size or holds_only_symbols(arr.dtype, order):
         return arr
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise error(f"symbols must be integers in [0, {order}), "
                     f"got {arr.dtype} symbol {arr.flat[0]}")
     if (arr.dtype.kind == "u" or arr.min() >= 0) and arr.max() < order:
@@ -406,14 +410,12 @@ class Quasigroup:
         self.cayley = cayley
 
     def mul(self, x: int, y: int) -> int:
-        """x * y"""
-        x, y = require_symbols((x, y), self.order).tolist()
-        return int(self.cayley.entries[x, y])
+        """x * y, a one-symbol fold_mul."""
+        return fold_mul(self, (x,), y)
 
     def left_div(self, a: int, c: int) -> int:
-        """a \\ c: the unique b with a*b = c."""
-        a, c = require_symbols((a, c), self.order).tolist()
-        return int(self.cayley.row_inverse().entries[a, c])
+        """a \\ c: the unique b with a*b = c, a one-symbol fold_left_div."""
+        return fold_left_div(self, (a,), c)
 
     def right_div(self, c: int, a: int) -> int:
         """c / a: the unique b with b*a = c."""

@@ -32,19 +32,15 @@ class TestStep:
 
 class TestRun:
     def test_derived_trajectory(self, z3):
-        t = z3.run(1, (2, 0, 1))
-        assert t.states == (0, 0, 1)
-        assert t.last() == 1
+        assert z3.run(1, (2, 0, 1)) == (0, 0, 1)
+        assert z3.last_state(1, (2, 0, 1)) == 1
 
     def test_iterator_word_read_once(self, z3):
-        # the inputs and the states come from one pass over the word
+        # the states come from one pass over the word
         assert z3.run(0, iter([1, 2])) == z3.run(0, (1, 2))
 
     def test_empty_word(self, z3):
-        t = z3.run(1, ())
-        assert t.states == ()
-        with pytest.raises(EmptyInput):
-            t.last()
+        assert z3.run(1, ()) == ()
 
     def test_last_state_empty_rejected(self, z3):
         with pytest.raises(EmptyInput):
@@ -127,8 +123,8 @@ class TestTrajectoryReversal:
         inv = z3.invert()
         for a in range(3):
             for w in all_words(3, 4):
-                states = z3.run(a, w).states
-                back = inv.run(states[-1], tuple(reversed(w))).states
+                states = z3.run(a, w)
+                back = inv.run(states[-1], tuple(reversed(w)))
                 assert back == tuple(reversed(states[:-1])) + (a,)
 
     def test_full_reversal_random_large(self, key256, rng):
@@ -136,8 +132,8 @@ class TestTrajectoryReversal:
         for _ in range(300):
             w = rng.integers(0, 256, rng.integers(1, 65)).tolist()
             a = int(rng.integers(0, 256))
-            states = key256.run(a, w).states
-            back = inv.run(states[-1], list(reversed(w))).states
+            states = key256.run(a, w)
+            back = inv.run(states[-1], list(reversed(w)))
             assert back == tuple(reversed(states[:-1])) + (a,)
 
     def test_last_state_roundtrip(self, key256, rng):

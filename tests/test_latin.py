@@ -543,7 +543,8 @@ def test_scalar_readings_refuse_non_symbols(reading, s):
         SCALAR_READINGS[reading](Quasigroup(sq), KeyAutomaton(5, sq), s)
 
 
-SYMBOL_DTYPES = ["bool", "int8", "uint8", "int16", "uint16", "int64", "uint64", "float64"]
+SYMBOL_DTYPES = ["bool", "int8", "uint8", "int16", "uint16", "int64", "uint64", "float64",
+                 "timedelta64[s]"]
 
 
 @st.composite

@@ -66,9 +66,12 @@ ENTRIES = {
                        lambda x: attack_decrypt(RecoveredKnowledge(N), x)),
 }
 
-# None of these is a symbol of order N = 5. A bool is refused as the
-# integer type NumPy promotes it to among integers is not.
-VALUES = {"-1": -1, "n": N, "1.5": 1.5, "2.0": 2.0, "True": True, "np.True_": np.True_}
+# None of these is a symbol of order N = 5. A bool, or a 0-d bool array,
+# is refused as the integer type NumPy promotes it to among integers is
+# not; a timedelta64 is not an integer, though NumPy's type tree holds it
+# under one.
+VALUES = {"-1": -1, "n": N, "1.5": 1.5, "2.0": 2.0, "True": True, "np.True_": np.True_,
+          "timedelta": np.timedelta64(2, "s"), "0-d True": np.array(True)}
 
 
 def with_value(valid, value, position):

@@ -67,7 +67,7 @@ class CipherSession:
         self._open = None   # direction of a message still taking parts
         self._done = False  # a final part has been processed
 
-    def encrypt_message(self, plaintext, final: bool = True) -> np.ndarray:
+    def encrypt_message(self, plaintext, final: bool = True, out=None) -> np.ndarray:
         """Encrypt a symbol sequence; symbol i consumes stream block i.
 
         With `final=False` the sequence is one part of a longer message: the
@@ -75,24 +75,51 @@ class CipherSession:
         concatenate to what one call on the whole message returns. The part
         with `final=True` ends the message; any later call raises NonceReuse,
         as does a decrypt call while an encrypt message is open.
-        """
-        return self._message(plaintext, self.key.delta.entries, False, final)
 
-    def decrypt_message(self, ciphertext, final: bool = True) -> np.ndarray:
+        The ciphertext goes into a fresh array, or into `out`, which is
+        returned. `out` is either the message array itself, so that the
+        ciphertext is written over the plaintext, or a writable 1-D array
+        of the key's symbol dtype and the message's length that shares no
+        memory with it. Anything else raises ValueError before any
+        keystream is drawn.
+        """
+        return self._message(plaintext, self.key.delta.entries, False, final, out)
+
+    def decrypt_message(self, ciphertext, final: bool = True, out=None) -> np.ndarray:
         """Invert encrypt_message: the mirrored blocks on the row inverse.
 
-        `final` splits a message into parts as for encrypt_message.
+        `final` splits a message into parts and `out` takes the output as
+        for encrypt_message.
         """
-        return self._message(ciphertext, self.key.invert().delta.entries, True, final)
+        return self._message(ciphertext, self.key.invert().delta.entries, True, final, out)
 
-    def _message(self, seq, table: np.ndarray, reverse: bool, final: bool) -> np.ndarray:
+    def _message(self, seq, table: np.ndarray, reverse: bool, final: bool,
+                 out) -> np.ndarray:
         if self._done or self._open not in (None, reverse):
             raise NonceReuse("session already processed a message; use a fresh nonce")
         # an array or a byte string reaches _chain as the caller's buffer
         msg = symbol_array(seq, ndim=1)
         require_symbols(msg, self.key.order)
+        if out is not None:
+            _check_out(out, msg, table.dtype)
         self._open, self._done = reverse, final
-        return _chain(table, msg, self.stream, self.m, reverse)
+        return _chain(table, msg, self.stream, self.m, reverse, out)
+
+
+def _check_out(out, msg: np.ndarray, dtype: np.dtype) -> None:
+    """Raise ValueError unless the kernel can write `msg`'s output into
+    `out`: a writable 1-D array of `dtype` and msg's length that is either
+    msg itself, the same elements of the same memory, or shares no memory
+    with it. A partial overlap would let one chunk's output overwrite
+    start symbols that a later chunk has still to read."""
+    if not (isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == dtype
+            and len(out) == len(msg) and out.flags.writeable):
+        raise ValueError(f"out must be a writable 1-D {dtype} array of "
+                         f"{len(msg)} symbols")
+    same = (out.dtype == msg.dtype and out.strides == msg.strides
+            and out.__array_interface__["data"][0] == msg.__array_interface__["data"][0])
+    if not same and np.shares_memory(out, msg):
+        raise ValueError("out must be the message array itself or share no memory with it")
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -105,7 +132,7 @@ def _index_dtype(n: int) -> np.dtype:
 
 
 def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
-           reverse: bool) -> np.ndarray:
+           reverse: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Run each keystream block from the matching start state, vectorized
     across message positions: state = table[k, state] for each block symbol
     k. `reverse` feeds blocks mirrored (decryption).
@@ -117,8 +144,11 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     Each round builds its flat indices k * n + state in one reused buffer of
     the narrowest type that holds them and gathers into the output slice, so
     working memory is bounded by the chunk, not by the message length or m.
-    The first round reads the caller's symbols in place and never writes
-    them.
+    The output is a fresh array, or `out`, which is `start` itself or
+    shares no memory with it (CipherSession._message checks this). The
+    first round reads the caller's symbols in place, and writes them only
+    when `out` is `start`: each chunk's first round has read its start
+    symbols into the index before its gather writes that slice.
 
     Invariant: every index is below n * n. The caller's symbols and the
     table's entries lie in [0, n), and each chunk's keystream symbols pass
@@ -134,7 +164,8 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     idx_dtype = _index_dtype(n)
     width = idx_dtype.type(n)
     chunk = min(_CHUNK, max(1, _CHUNK_KEYSTREAM // m))
-    out = np.empty(len(start), dtype=table.dtype)
+    if out is None:
+        out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(chunk, len(start)), dtype=idx_dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
     for lo in range(0, len(start), chunk):

@@ -1,11 +1,12 @@
 """Command-line surface: keygen, encrypt, decrypt, inspect, attack-demo.
 
 `encrypt` and `decrypt` stream: each reads its input in IO_CHUNK parts
-through one multi-part message of a CipherSession, so their memory does not
-grow with the file. The input must be a regular file, whose size fixes the
-container header before any output is written, and the output must be
-neither the input nor the key file. A run that needs more keystream than
-one nonce covers is refused before the output is opened.
+through one multi-part message of a CipherSession, which writes each part's
+output over the part, so their memory does not grow with the file. The
+input must be a regular file, whose size fixes the container header before
+any output is written, and the output must be neither the input nor the
+key file. A run that needs more keystream than one nonce covers is refused
+before the output is opened.
 
 Every command that writes `--out`, keygen as well as encrypt and decrypt,
 writes a temporary file beside the file `--out` resolves to and renames it
@@ -156,6 +157,10 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     """Run the next `count` bytes of `src` through the session method
     `message` into `dst`, one IO_CHUNK part at a time.
 
+    Each part's output is written over the part itself, so a run holds one
+    part and the kernel's chunk buffers; the input's CRC is therefore taken
+    before the part is overwritten.
+
     When `dst` is a regular file, each part is flushed and its own byte
     range hinted POSIX_FADV_DONTNEED as soon as it is written. On Linux that
     starts the range's writeback without waiting for it and drops only
@@ -173,14 +178,17 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     start = dst.tell() if fadvise else 0
     for part in _parts(src, count, np.uint8):
         count -= len(part)
-        out = message(part, final=not count)
-        dst.write(out)
+        if plain_in:
+            crc = zlib.crc32(part, crc)
+        message(part, final=not count, out=part)
+        if not plain_in:
+            crc = zlib.crc32(part, crc)
+        dst.write(part)
         if fadvise:
             dst.flush()
             with contextlib.suppress(OSError):
-                fadvise(fd, start, out.nbytes, os.POSIX_FADV_DONTNEED)
-            start += out.nbytes
-        crc = zlib.crc32(part if plain_in else out, crc)
+                fadvise(fd, start, part.nbytes, os.POSIX_FADV_DONTNEED)
+            start += part.nbytes
     return crc
 
 
@@ -260,9 +268,9 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    kf = _load_byte_key(args.key, inverse=False)
     if not 1 <= args.block <= 255:
         return _fail(EXIT_USAGE, "block length must be in [1, 255]")
+    kf = _load_byte_key(args.key, inverse=False)
     with _open_input(getattr(args, "in"), args.out, args.key) as src:
         size = os.fstat(src.fileno()).st_size
         # At order 256 each symbol draws one ChaCha20 byte and none is

@@ -427,6 +427,60 @@ def test_message_reaches_the_kernel_as_the_callers_buffer(key256, monkeypatch, m
         assert np.shares_memory(start, np.frombuffer(given, dtype=np.uint8))
 
 
+@pytest.fixture(scope="module")
+def out_keys():
+    return {n: random_automaton(n) for n in (256, 1000)}
+
+
+@pytest.mark.parametrize("n", [256, 1000])
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])
+@pytest.mark.parametrize("into", ["message", "view", "buffer"])
+@pytest.mark.parametrize("cuts", [(), (65531, 100000)])
+def test_out_gives_the_fresh_array_result(out_keys, n, m, method, into, cuts):
+    # `out` is the message array itself, a second view of its memory or a
+    # separate buffer, in one call or in final=False parts that cross the
+    # kernel's 64Ki-symbol chunks; each gives the fresh array's symbols.
+    key = out_keys[n]
+    msg = np.random.default_rng(n + m).integers(0, n, LONG_LEN).astype(symbol_dtype(n))
+    want = getattr(CipherSession(key, SEED, NONCE, m), method)(msg)
+    process = getattr(CipherSession(key, SEED, NONCE, m), method)
+    given = msg.copy()
+    buf = np.zeros_like(given) if into == "buffer" else given
+    bounds = [0, *cuts, LONG_LEN]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = given[lo:hi]
+        out = {"message": part, "view": part[:], "buffer": buf[lo:hi]}[into]
+        assert process(part, final=hi == LONG_LEN, out=out) is out
+    assert np.array_equal(buf, want)
+    if into == "buffer":
+        assert np.array_equal(given, msg)
+
+
+@pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])
+@pytest.mark.parametrize("bad", ["list", "dtype", "length", "2-D", "read-only", "overlap"])
+def test_bad_out_refused_before_any_keystream(key256, method, bad):
+    buf = np.random.default_rng(13).integers(0, 256, 1001).astype(np.uint8)
+    msg = buf[:1000]
+    out = {
+        "list": lambda: [0] * 1000,
+        "dtype": lambda: np.empty(1000, dtype=np.uint16),
+        "length": lambda: np.empty(999, dtype=np.uint8),
+        "2-D": lambda: np.empty((1000, 1), dtype=np.uint8),
+        "read-only": lambda: np.frombuffer(bytes(1000), dtype=np.uint8),
+        "overlap": lambda: buf[1:],
+    }[bad]()
+    saved = buf.copy()
+    s = session(key256)
+    with pytest.raises(ValueError, match="^out must"):
+        getattr(s, method)(msg, out=out)
+    assert s.stream.bytes_read == 0
+    assert np.array_equal(buf, saved)
+    # the refused call left the session as it was: it takes the message
+    want = getattr(session(key256), method)(msg)
+    assert np.array_equal(getattr(s, method)(msg), want)
+
+
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),
        nonce=st.binary(min_size=12, max_size=12),
        engine=st.sampled_from(["fa", "qg"]))

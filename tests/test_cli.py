@@ -21,6 +21,7 @@ from lsqcipher.cli import (
     EXIT_IO,
     EXIT_USAGE,
     FORCE_NONCE_ENV,
+    IO_CHUNK,
     main,
 )
 from lsqcipher.codec import (
@@ -173,6 +174,16 @@ class TestEncryptDecrypt:
                      "--out", str(out), "-m", m]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", ["0", "256"])
+    def test_block_length_refused_before_the_key_is_read(self, tmp_path, m, capsys):
+        # a missing key would exit 4 if it were read first
+        src, out = tmp_path / "p", tmp_path / "ct"
+        src.write_bytes(b"x")
+        assert main(["encrypt", "--key", str(tmp_path / "missing.key"), "--in", str(src),
+                     "--out", str(out), "-m", m]) == EXIT_USAGE
+        assert "block length must be in [1, 255]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_forced_nonce_is_usage_error(self, tmp_path, keyfile, monkeypatch, capsys):
         monkeypatch.setenv(FORCE_NONCE_ENV, FORCED_NONCE[:-2])
         src, ct = tmp_path / "plain", tmp_path / "ct"
@@ -282,6 +293,29 @@ class TestStreamingInput:
 
     def encrypt(self, keyfile, src, dst):
         return main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(dst)])
+
+    @pytest.mark.parametrize("m, kernel_mib", [(16, 3), (1, 1.5)])
+    def test_op_holds_one_part(self, tmp_path, keyfile, m, kernel_mib):
+        # Each part's output is written over the part, so an op holds its
+        # 1 MiB part and the kernel's chunk buffers: at m=16 a chunk's
+        # keystream and its (m, c) copy, 1 MiB each, at m=1 mostly the intp
+        # copy np.take makes of 64Ki indices. About 3.3 and 1.8 MiB in all;
+        # a second 1 MiB output per part, or the last part's output kept
+        # through the next call, would each add 1 MiB.
+        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
+        src.write_bytes(os.urandom(3 * MIB + 5))
+        for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
+                      "-m", str(m)],
+                     ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < IO_CHUNK + kernel_mib * MIB, (argv[0], peak / MIB)
+        assert back.read_bytes() == src.read_bytes()
 
     def test_in_place_encrypt_refused(self, tmp_path, keyfile):
         src = tmp_path / "plain"

@@ -1,8 +1,8 @@
 """Command-line surface: keygen, encrypt, decrypt, inspect, attack-demo.
 
-`encrypt` and `decrypt` stream: each reads its input in IO_CHUNK parts
-through one multi-part message of a CipherSession, which writes each part's
-output over the part, so their memory does not grow with the file. The
+`encrypt` and `decrypt` stream: each reads its input in 512 KiB IO_CHUNK
+parts through one multi-part message of a CipherSession, which writes each
+part's output over the part, so their memory does not grow with the file. The
 input must be a regular file, whose size fixes the container header before
 any output is written, and the output must be neither the input nor the
 key file. A run that needs more keystream than one nonce covers is refused
@@ -74,7 +74,9 @@ EXIT_CHECKSUM = 5
 FORCE_NONCE_ENV = "LSQ_FORCE_NONCE"  # hex, test-only
 
 # Bytes per read when encrypt and decrypt stream a file.
-IO_CHUNK = 1 << 20
+IO_CHUNK = 1 << 19
+# Bytes of output per write-behind hint; a multiple of IO_CHUNK.
+HINT_BYTES = 1 << 20
 
 
 def _fail(code: int, msg: str) -> int:
@@ -140,7 +142,8 @@ def _replacing(path: str):
 
 def _parts(src, count: int, dtype):
     """Read the next `count` items of `dtype` from `src` in parts of at most
-    IO_CHUNK bytes, all in one buffer: each part is overwritten by the next.
+    IO_CHUNK (512 KiB), all in one buffer: each part is overwritten by the
+    next.
 
     Raises OSError if `src` ends early.
     """
@@ -155,18 +158,20 @@ def _parts(src, count: int, dtype):
 
 def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     """Run the next `count` bytes of `src` through the session method
-    `message` into `dst`, one IO_CHUNK part at a time.
+    `message` into `dst`, one 512 KiB IO_CHUNK part at a time.
 
     Each part's output is written over the part itself, so a run holds one
     part and the kernel's chunk buffers; the input's CRC is therefore taken
     before the part is overwritten.
 
-    When `dst` is a regular file, each part is flushed and its own byte
-    range hinted POSIX_FADV_DONTNEED as soon as it is written. On Linux that
-    starts the range's writeback without waiting for it and drops only
-    pages already clean, so the rename that replaces an existing `--out`
-    finds the file mostly written, while the parts stay cached for whoever
-    reads the output next. A hint that fails is ignored: it is only a hint.
+    When `dst` is a regular file, the output is flushed and hinted
+    POSIX_FADV_DONTNEED each time a full HINT_BYTES (1 MiB) of it has been
+    written, one hint on that MiB's own byte range, and once more for the
+    shorter tail. On Linux that starts the range's writeback without
+    waiting for it and drops only pages already clean, so the rename that
+    replaces an existing `--out` finds the file mostly written, while the
+    output stays cached for whoever reads it next. A hint that fails is
+    ignored: it is only a hint.
 
     Returns the CRC-32 of the plaintext side: the input when `plain_in`,
     else the output. Raises OSError if `src` ends early.
@@ -175,7 +180,8 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
     fd = dst.fileno()
     # a pipe or a device takes no hint: posix_fadvise on a pipe is ESPIPE
     fadvise = getattr(os, "posix_fadvise", None) if stat.S_ISREG(os.fstat(fd).st_mode) else None
-    start = dst.tell() if fadvise else 0
+    # output from start to end is written but not yet hinted
+    start = end = dst.tell() if fadvise else 0
     for part in _parts(src, count, np.uint8):
         count -= len(part)
         if plain_in:
@@ -184,11 +190,12 @@ def _stream(src, dst, count: int, message, plain_in: bool) -> int:
         if not plain_in:
             crc = zlib.crc32(part, crc)
         dst.write(part)
-        if fadvise:
+        end += part.nbytes
+        if fadvise and (end - start >= HINT_BYTES or not count):
             dst.flush()
             with contextlib.suppress(OSError):
-                fadvise(fd, start, part.nbytes, os.POSIX_FADV_DONTNEED)
-            start += part.nbytes
+                fadvise(fd, start, end - start, os.POSIX_FADV_DONTNEED)
+            start = end
     return crc
 
 

@@ -297,11 +297,11 @@ class TestStreamingInput:
     @pytest.mark.parametrize("m, kernel_mib", [(16, 3), (1, 1.5)])
     def test_op_holds_one_part(self, tmp_path, keyfile, m, kernel_mib):
         # Each part's output is written over the part, so an op holds its
-        # 1 MiB part and the kernel's chunk buffers: at m=16 a chunk's
+        # IO_CHUNK part and the kernel's chunk buffers: at m=16 a chunk's
         # keystream and its (m, c) copy, 1 MiB each, at m=1 mostly the intp
-        # copy np.take makes of 64Ki indices. About 3.3 and 1.8 MiB in all;
-        # a second 1 MiB output per part, or the last part's output kept
-        # through the next call, would each add 1 MiB.
+        # copy np.take makes of 64Ki indices. About 2.8 and 1.4 MiB in all;
+        # a second output per part, or the last part's output kept through
+        # the next call, would each add one IO_CHUNK.
         src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
         src.write_bytes(os.urandom(3 * MIB + 5))
         for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
@@ -315,6 +315,25 @@ class TestStreamingInput:
                 tracemalloc.stop()
             assert code == 0
             assert peak < IO_CHUNK + kernel_mib * MIB, (argv[0], peak / MIB)
+        assert back.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("m, bound_mib", [(16, 3), (1, 1.5)])
+    def test_op_peak_below_bound(self, tmp_path, keyfile, m, bound_mib):
+        # The same ops as above against a fixed bound: with 512 KiB parts
+        # they peak at about 2.8 and 1.4 MiB; 1 MiB parts read 3.3 and 1.9.
+        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
+        src.write_bytes(os.urandom(3 * MIB + 5))
+        for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
+                      "-m", str(m)],
+                     ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < bound_mib * MIB, (argv[0], peak / MIB)
         assert back.read_bytes() == src.read_bytes()
 
     def test_in_place_encrypt_refused(self, tmp_path, keyfile):
@@ -592,11 +611,12 @@ class TestOutputReplaced:
 
 @pytest.mark.skipif(not hasattr(os, "POSIX_FADV_DONTNEED"), reason="needs posix_fadvise")
 class TestWriteBehind:
-    """encrypt and decrypt start each part's writeback as soon as it is in a
-    regular output, with one POSIX_FADV_DONTNEED hint on that part's own
-    range; an output that is not a regular file takes no hint."""
+    """encrypt and decrypt start the writeback of each MiB of a regular
+    output as soon as it is written, with one POSIX_FADV_DONTNEED hint on
+    that MiB's own range, and one more for the tail; an output that is not a
+    regular file takes no hint."""
 
-    SIZE = 3 * MIB + 5  # several IO_CHUNK parts and a short last one
+    SIZE = 3 * MIB + 5  # several HINT_BYTES ranges and a short tail
 
     @pytest.fixture
     def hints(self, monkeypatch):
@@ -609,7 +629,7 @@ class TestWriteBehind:
         monkeypatch.setattr(os, "posix_fadvise", posix_fadvise)
         return hints
 
-    def test_each_part_hinted_once_written(self, tmp_path, keyfile, hints):
+    def test_each_mib_hinted_once_written(self, tmp_path, keyfile, hints):
         src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
         src.write_bytes(os.urandom(self.SIZE))
         assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
@@ -618,12 +638,14 @@ class TestWriteBehind:
         hints.clear()
         assert main(["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]) == 0
         assert back.read_bytes() == src.read_bytes()
-        # the payload starts after the container header, the plaintext at 0
+        # the payload starts after the container header, the plaintext at 0;
+        # every range but the tail is one HINT_BYTES long
         for got, start in ((encrypted, HEADER_BYTES), (hints, 0)):
-            assert len(got) == -(-self.SIZE // cli.IO_CHUNK)
+            assert len(got) == -(-self.SIZE // cli.HINT_BYTES)
             for offset, length, size in got:
                 assert offset == start and size >= offset + length
                 start += length
+            assert [length for _, length, _ in got[:-1]] == [cli.HINT_BYTES] * (len(got) - 1)
             assert start - got[0][0] == self.SIZE
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -294,6 +294,25 @@ class TestStreamingInput:
     def encrypt(self, keyfile, src, dst):
         return main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(dst)])
 
+    def op_peaks(self, tmp_path, keyfile, m):
+        """The traced peak of one encrypt and one decrypt of a 3 MiB + 5 B
+        file at this m, each with its command; the round trip must hold."""
+        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
+        src.write_bytes(os.urandom(3 * MIB + 5))
+        peaks = []
+        for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
+                      "-m", str(m)],
+                     ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks.append((argv[0], tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert back.read_bytes() == src.read_bytes()
+        return peaks
+
     @pytest.mark.parametrize("m, kernel_mib", [(16, 3), (1, 1.5)])
     def test_op_holds_one_part(self, tmp_path, keyfile, m, kernel_mib):
         # Each part's output is written over the part, so an op holds its
@@ -302,39 +321,15 @@ class TestStreamingInput:
         # copy np.take makes of 64Ki indices. About 2.8 and 1.4 MiB in all;
         # a second output per part, or the last part's output kept through
         # the next call, would each add one IO_CHUNK.
-        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
-        src.write_bytes(os.urandom(3 * MIB + 5))
-        for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
-                      "-m", str(m)],
-                     ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            assert peak < IO_CHUNK + kernel_mib * MIB, (argv[0], peak / MIB)
-        assert back.read_bytes() == src.read_bytes()
+        for command, peak in self.op_peaks(tmp_path, keyfile, m):
+            assert peak < IO_CHUNK + kernel_mib * MIB, (command, peak / MIB)
 
     @pytest.mark.parametrize("m, bound_mib", [(16, 3), (1, 1.5)])
     def test_op_peak_below_bound(self, tmp_path, keyfile, m, bound_mib):
-        # The same ops as above against a fixed bound: with 512 KiB parts
-        # they peak at about 2.8 and 1.4 MiB; 1 MiB parts read 3.3 and 1.9.
-        src, ct, back = tmp_path / "plain", tmp_path / "ct", tmp_path / "back"
-        src.write_bytes(os.urandom(3 * MIB + 5))
-        for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
-                      "-m", str(m)],
-                     ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            assert peak < bound_mib * MIB, (argv[0], peak / MIB)
-        assert back.read_bytes() == src.read_bytes()
+        # The same ops against a fixed bound: with 512 KiB parts they peak
+        # at about 2.8 and 1.4 MiB; with 1 MiB parts they read 3.3 and 1.9.
+        for command, peak in self.op_peaks(tmp_path, keyfile, m):
+            assert peak < bound_mib * MIB, (command, peak / MIB)
 
     def test_in_place_encrypt_refused(self, tmp_path, keyfile):
         src = tmp_path / "plain"

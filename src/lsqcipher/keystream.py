@@ -18,8 +18,10 @@ BYTE_CAP ChaCha20 bytes.
 
 Reads are also copy-free: ChaCha20 encrypts slices of one shared block of
 zeros straight into the array a read returns, and the wire-to-native
-byteswap and the power-of-two mask run in place on it. At power-of-two
-orders a read allocates nothing but its result.
+byteswap, the power-of-two mask and rejection's compaction run in place on
+it. At power-of-two orders a read allocates nothing but its result; at
+other orders it also holds the scratch of one block of compaction at a
+time, whatever its count.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ BYTE_CAP = 1 << 38
 # ChaCha20 input for every read: its output is the keystream itself. Reads
 # longer than this run in slices of it.
 _ZEROS = memoryview(bytes(1 << 20))
+
+# Words per step of rejection's compaction: the scratch a read holds beside
+# its result.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,57 +103,60 @@ class KeystreamReader:
         space = 1 << (8 * self._dtype.itemsize)
         self._limit = space - space % n
 
-    def _raw_words(self, count: int) -> np.ndarray:
-        """The next `count` generator words, native-endian, in a fresh array."""
-        nbytes = count * self._wire.itemsize
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` symbols of the flat stream, in a fresh array.
+
+        Each pass draws one word per missing symbol into the result's
+        unfilled tail, so no word past the last returned symbol is ever
+        drawn, and a read allocates its result plus, at rejection orders,
+        the scratch of one compaction block at a time.
+        """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        out = np.empty(count, dtype=self._dtype)
+        have = 0
+        while have < count:
+            have += self._fill(out[have:])
+        return out
+
+    def _fill(self, tail: np.ndarray) -> int:
+        """Draw one word into each slot of `tail` and move its symbols to the front.
+
+        Returns how many symbols the front of `tail` now holds. Rejection
+        compacts one _BLOCK of words at a time: a block's accepted words are
+        copied out before their symbols land at or before the block's start,
+        and the quotient of the remainder goes into those symbols' own
+        slots, so a pass's scratch is a block's mask and accepted words,
+        whatever the length of `tail`.
+        """
+        nbytes = tail.nbytes
         if self.bytes_read + nbytes > BYTE_CAP:
             raise StreamExhausted(f"per-nonce cap of {BYTE_CAP} ChaCha20 bytes reached")
         self.bytes_read += nbytes
-        words = np.empty(count, dtype=self._dtype)
-        out = words.view(np.uint8)
+        out = tail.view(np.uint8)
         for lo in range(0, nbytes, len(_ZEROS)):
             hi = min(nbytes, lo + len(_ZEROS))
             self._enc.update_into(_ZEROS[:hi - lo], out[lo:hi])
         if self._wire != self._dtype:
             # Big-endian words on a little-endian host. A casting copy onto
             # itself swaps in place, several times faster than byteswap.
-            np.copyto(words, words.view(self._wire))
-        return words
-
-    def _symbols(self, words: int) -> np.ndarray:
-        """Symbols from the next `words` words: one per accepted word.
-
-        The remainder is `kept - (kept // n) * n`, with the quotient in the
-        front of `raw`, which the accepted words no longer need: NumPy's
-        scalar divide runs in SIMD, its `%` one division per element.
-        """
-        raw = self._raw_words(words)
+            np.copyto(tail, tail.view(self._wire))
         n = self.spec.order
         if self._pow2:
             if self._mask:
-                raw &= n - 1
-            return raw
-        kept = raw[raw < self._limit]
-        self.rejected += words - len(kept)
-        q = np.floor_divide(kept, n, out=raw[:len(kept)])
-        q *= n
-        kept -= q
+                tail &= n - 1
+            return len(tail)
+        kept = 0
+        for lo in range(0, len(tail), _BLOCK):
+            words = tail[lo:lo + _BLOCK]
+            accepted = words[words < self._limit]
+            sym = tail[kept:kept + len(accepted)]
+            np.floor_divide(accepted, n, out=sym)
+            sym *= n
+            np.subtract(accepted, sym, out=sym)
+            kept += len(accepted)
+        self.rejected += len(tail) - kept
         return kept
-
-    def take(self, count: int) -> np.ndarray:
-        """The next `count` symbols of the flat stream.
-
-        Each pass draws one word per missing symbol, so no word past the
-        last returned symbol is ever drawn.
-        """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        parts = [self._symbols(count)]
-        have = len(parts[0])
-        while have < count:
-            parts.append(self._symbols(count - have))
-            have += len(parts[-1])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def next_block(self) -> np.ndarray:
         """The next keystream block r_i of length m."""

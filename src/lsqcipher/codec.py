@@ -63,8 +63,9 @@ class KeyFile:
 class CipherContainer:
     """A parsed or to-be-written ciphertext container.
 
-    At order <= 256 the payload `read_container` returns is a read-only
-    view of the container bytes, not a copy.
+    At every order the payload `read_container` returns is a view of the
+    container bytes, not a copy, in wire byte order: big-endian `uint16`
+    above order 256. It is read-only when the bytes are.
     """
 
     order: int
@@ -187,17 +188,23 @@ def key_fingerprint(data) -> str:
     return hashlib.sha256(memoryview(data)[:-CRC_TRAILER.size]).hexdigest()[:16]
 
 
-def write_container(ct: CipherContainer) -> bytes:
-    """Serialize a container. Its payload may be an array, a list or a
-    tuple of symbols, and a sequence is written as the equal array is.
-    Raises LengthMismatch for a payload that is not 1-D and OutOfRange for
-    an entry that is not a symbol of the container's order."""
+def write_container(ct: CipherContainer) -> bytearray:
+    """Serialize a container into one buffer, as write_key does a key file:
+    the header, the wire-order payload and the CRC are written into it, so
+    no copy of the payload is made beside it. The payload may be an array,
+    a list or a tuple of symbols, and a sequence is written as the equal
+    array is. Raises LengthMismatch for a payload that is not 1-D and
+    OutOfRange for an entry that is not a symbol of the container's order."""
     payload = latin.symbol_array(ct.payload, LengthMismatch, ndim=1)
     header = ContainerHeader(order=ct.order, m=ct.m, nonce=ct.nonce, count=len(payload))
     require_symbols(payload, ct.order, OutOfRange)
-    # join reads the payload's buffer in place, so the bytes hold its one copy
-    wire = payload.astype(symbol_wire_dtype(ct.order), order="C", copy=False)
-    return b"".join((header.pack(), wire, CRC_TRAILER.pack(ct.plaintext_crc)))
+    buf = bytearray(header.size)
+    buf[:HEADER_BYTES] = header.pack()
+    # every entry is an integer symbol by now, so the unsafe cast narrows none
+    np.copyto(np.frombuffer(buf, dtype=symbol_wire_dtype(ct.order), count=len(payload),
+                            offset=HEADER_BYTES), payload, casting="unsafe")
+    CRC_TRAILER.pack_into(buf, header.size - CRC_TRAILER.size, ct.plaintext_crc)
+    return buf
 
 
 def read_container_header(data: bytes, size: int) -> ContainerHeader:
@@ -225,10 +232,15 @@ def read_container_header(data: bytes, size: int) -> ContainerHeader:
 
 
 def read_container(data: bytes) -> CipherContainer:
+    """Parse a container and check its framing and its payload's symbols.
+
+    The payload is a view of `data` in wire byte order at every order, not
+    a copy: a session decrypts it as it is. Above order 256 it is
+    big-endian `uint16`, so it cannot be a session's `out`; nor can any
+    view of read-only bytes."""
     header = read_container_header(data, len(data))
     end = header.size - CRC_TRAILER.size
-    wire = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
-    payload = wire.astype(symbol_dtype(header.order), copy=False)
+    payload = np.frombuffer(memoryview(data)[HEADER_BYTES:end], dtype=symbol_wire_dtype(header.order))
     require_symbols(payload, header.order, OutOfRange)
     (crc,) = CRC_TRAILER.unpack_from(data, end)
     return CipherContainer(order=header.order, m=header.m, nonce=header.nonce,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lsqcipher import cipher
 from lsqcipher.automaton import KeyAutomaton
 from lsqcipher.cipher import CipherSession
+from lsqcipher.codec import CipherContainer, read_container, write_container
 from lsqcipher.errors import NonceReuse
 from lsqcipher.keystream import KeystreamReader, KeystreamSpec
 from lsqcipher.latin import LatinSquare, fold_left_div, fold_mul, symbol_dtype
@@ -479,6 +480,47 @@ def test_bad_out_refused_before_any_keystream(key256, method, bad):
     # the refused call left the session as it was: it takes the message
     want = getattr(session(key256), method)(msg)
     assert np.array_equal(getattr(s, method)(msg), want)
+
+
+def _order_1000_container(key, msg):
+    ct = session(key).encrypt_message(msg)
+    return write_container(CipherContainer(order=1000, m=4, nonce=NONCE, payload=ct,
+                                           plaintext_crc=0))
+
+
+@pytest.mark.parametrize("into", [None, "buffer"])
+@pytest.mark.parametrize("cuts", [(), (65531, 131072)])
+def test_wire_order_payload_decrypts(out_keys, into, cuts):
+    # above order 256 read_container's payload is a big-endian view of the
+    # container bytes; a session decrypts it as it is, in one call or in
+    # final=False parts across the 64Ki-symbol chunks, into a fresh array
+    # or a separate native buffer
+    key = out_keys[1000]
+    msg = np.random.default_rng(28).integers(0, 1000, LONG_LEN).astype(np.uint16)
+    payload = read_container(_order_1000_container(key, msg)).payload
+    assert payload.dtype == np.dtype(">u2")
+    process = session(key).decrypt_message
+    buf = np.zeros(LONG_LEN, dtype=np.uint16) if into == "buffer" else None
+    bounds = [0, *cuts, LONG_LEN]
+    back = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        out = None if buf is None else buf[lo:hi]
+        back.append(process(payload[lo:hi], final=hi == LONG_LEN, out=out))
+        assert out is None or back[-1] is out
+    assert np.array_equal(np.concatenate(back), msg)
+    assert buf is None or np.array_equal(buf, msg)
+
+
+def test_wire_order_payload_refused_as_out(out_keys):
+    # a wire-order view of read-only bytes is neither native nor writable
+    key = out_keys[1000]
+    msg = np.random.default_rng(28).integers(0, 1000, LONG_LEN).astype(np.uint16)
+    payload = read_container(bytes(_order_1000_container(key, msg))).payload
+    s = session(key)
+    with pytest.raises(ValueError, match="^out must"):
+        s.decrypt_message(payload, out=payload)
+    assert s.stream.bytes_read == 0
+    assert np.array_equal(s.decrypt_message(payload), msg)
 
 
 @given(msg=st.binary(max_size=300), m=st.integers(1, 8),

@@ -216,6 +216,33 @@ class TestContainer:
         blob = write_container(container(order=order, payload=payload))
         assert blob == write_container(container(order=order, payload=payload.copy()))
 
+    def test_write_builds_only_the_container(self, rng):
+        # one buffer for the whole container: no wire-order copy of the
+        # payload and no concatenation beside it
+        ct = container(order=1000, payload=rng.integers(0, 1000, 1 << 20))
+        tracemalloc.start()
+        try:
+            blob = write_container(ct)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * len(blob)
+        assert np.array_equal(read_container(blob).payload, ct.payload)
+
+    @pytest.mark.parametrize("order", [256, 1000])
+    def test_read_copies_no_payload(self, rng, order):
+        # the payload is a wire-order view of the container bytes at every order
+        blob = bytes(write_container(container(order=order,
+                                               payload=rng.integers(0, order, 1 << 20))))
+        tracemalloc.start()
+        try:
+            payload = read_container(blob).payload
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert np.shares_memory(payload, np.frombuffer(blob, np.uint8))
+
     def test_m_zero_rejected_on_write(self):
         with pytest.raises(LengthMismatch):
             write_container(container(m=0))

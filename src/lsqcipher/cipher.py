@@ -62,8 +62,7 @@ class CipherSession:
             raise ValueError(f"engine must be one of {ENGINES}")
         self.key = key
         self.m = m
-        self.spec = KeystreamSpec(seed=seed, nonce=nonce, m=m, order=key.order)
-        self.stream = KeystreamReader(self.spec)
+        self.stream = KeystreamReader(KeystreamSpec(seed, nonce, m, key.order))
         self._open = None   # direction of a message still taking parts
         self._done = False  # a final part has been processed
 

@@ -52,9 +52,8 @@ from .codec import (
     KEY_MAGIC,
     ContainerHeader,
     KeyFile,
-    key_file_size,
     key_fingerprint,
-    key_order,
+    key_header,
     read_container,
     read_container_header,
     read_key,
@@ -218,16 +217,17 @@ def _read_to_end(src, n: int) -> bytes:
     return tail
 
 
-def _key_bytes(fh, head: bytes = b"") -> memoryview:
-    """The bytes of the key file open on `fh`, whose first bytes `head` have
-    already been read, for read_key to certify.
+def _key_bytes(fh, head: bytes) -> memoryview:
+    """The bytes of the key file open on `fh`, for read_key to certify.
+    `head` is required: it holds the first bytes of the file, which the
+    caller has already read, and may be shorter than the key header.
 
     The body is read only after the header: a regular file must be the size
     the header gives, and no more than one byte past that size is read from
     a pipe, so a large file that is not a key costs no more than its header.
     """
     head += fh.read(KEY_HEADER_BYTES - len(head))
-    size = key_file_size(head)
+    _, _, size = key_header(head)
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode) and st.st_size != size:
         raise LengthMismatch(f"key file has {st.st_size} bytes, its header gives {size}")
@@ -246,7 +246,7 @@ def _load_byte_key(path: str, inverse: bool) -> KeyFile:
     only decrypt runs on the row inverse."""
     with open(path, "rb") as fh:
         head = fh.read(KEY_HEADER_BYTES)
-        if key_order(head) != 256:
+        if key_header(head)[0] != 256:
             raise ValueError("encrypt/decrypt operate on byte files and need an order-256 key")
         return read_key(_key_bytes(fh, head), inverse=inverse)
 

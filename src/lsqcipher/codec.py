@@ -4,6 +4,10 @@ All multi-byte integers are big-endian. Symbols are 1 byte for order <= 256
 and 2 bytes otherwise. The key table is serialized row-major with rows
 indexed by input and columns by state, which is exactly the in-memory
 layout of the transition / Cayley table.
+
+A key file's header is decoded in one place, `key_header`, which gives its
+order, seed and size from the header's bytes alone; `read_key` and the
+CLI's key reads take all three from it.
 """
 
 from __future__ import annotations
@@ -126,8 +130,10 @@ def write_key(kf: KeyFile) -> bytearray:
     return buf
 
 
-def key_order(head: bytes) -> int:
-    """The order in the header of the key file whose first bytes are `head`.
+def key_header(head: bytes) -> tuple[int, bytes, int]:
+    """The order, the keystream seed and the file size in the header of the
+    key file whose first bytes are `head`. This is the one place a key
+    header is decoded: read_key and the CLI's key reads all call it.
 
     `head` need hold no more than KEY_HEADER_BYTES, so a reader can refuse
     an order above MAX_KEY_ORDER, or one it cannot use, before it reads or
@@ -139,18 +145,11 @@ def key_order(head: bytes) -> int:
         raise BadMagic("not a key file")
     if len(head) < KEY_HEADER_BYTES:
         raise TruncatedFile("key file truncated in header")
-    _, order, _ = _KEY_HEADER.unpack_from(head)
+    _, order, seed = _KEY_HEADER.unpack_from(head)
     if order > MAX_KEY_ORDER:
         raise OutOfRange(f"key order {order} > {MAX_KEY_ORDER} unsupported")
-    return order
-
-
-def key_file_size(head: bytes) -> int:
-    """The size of the key file whose first bytes are `head`, from the order
-    key_order reads in its header, so `head` need hold no more than
-    KEY_HEADER_BYTES."""
-    order = key_order(head)
-    return KEY_HEADER_BYTES + order * order * symbol_dtype(order).itemsize + CRC_TRAILER.size
+    size = KEY_HEADER_BYTES + order * order * symbol_dtype(order).itemsize + CRC_TRAILER.size
+    return order, seed, size
 
 
 def read_key(data: bytes, inverse: bool = True) -> KeyFile:
@@ -162,8 +161,7 @@ def read_key(data: bytes, inverse: bool = True) -> KeyFile:
     cache lookup; a caller that will only encrypt or inspect passes False
     and keeps no n x n inverse."""
     view = memoryview(data)
-    total = key_file_size(view)
-    _, order, seed = _KEY_HEADER.unpack_from(view)
+    order, seed, total = key_header(view)
     end = total - CRC_TRAILER.size
     if len(view) < total:
         raise TruncatedFile(f"key file needs {total} bytes, got {len(view)}")

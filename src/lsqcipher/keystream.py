@@ -32,7 +32,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .errors import InvalidSpec, StreamExhausted
-from .latin import MAX_ORDER, holds_only_symbols, symbol_dtype, symbol_wire_dtype
+from .latin import MAX_ORDER, symbol_dtype, symbol_wire_dtype
 
 SEED_BYTES = 32
 NONCE_BYTES = 12
@@ -97,10 +97,9 @@ class KeystreamReader:
         n = spec.order
         self._dtype = symbol_dtype(n)
         self._wire = symbol_wire_dtype(n)
-        self._pow2 = n & (n - 1) == 0
-        # at orders that fill the word (256, 65536) every word is a symbol
-        self._mask = not holds_only_symbols(self._dtype, n)
         space = 1 << (8 * self._dtype.itemsize)
+        # words at or above the largest multiple of n the word space holds
+        # are rejected; at power-of-two orders that is the whole space
         self._limit = space - space % n
 
     def take(self, count: int) -> np.ndarray:
@@ -142,8 +141,10 @@ class KeystreamReader:
             # itself swaps in place, several times faster than byteswap.
             np.copyto(tail, tail.view(self._wire))
         n = self.spec.order
-        if self._pow2:
-            if self._mask:
+        if self._limit == 1 << (8 * tail.itemsize):
+            # a power-of-two order rejects nothing; the mask takes a word to
+            # its symbol, except at the orders that fill the word (256, 65536)
+            if n < self._limit:
                 tail &= n - 1
             return len(tail)
         kept = 0

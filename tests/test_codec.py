@@ -14,7 +14,7 @@ from lsqcipher.codec import (
     CipherContainer,
     ContainerHeader,
     KeyFile,
-    key_file_size,
+    key_header,
     read_container,
     read_key,
     write_container,
@@ -68,6 +68,14 @@ class TestKeyGolden:
     def test_n256_file_size(self):
         blob = write_key(KeyFile(key=random_automaton(256), seed=SEED))
         assert len(blob) == 65584  # 8 + 4 + 32 + 65536 + 4
+
+    @pytest.mark.parametrize("order", [2, 256, 1000])
+    def test_key_header_round_trip(self, order):
+        # the 44-byte header alone gives the order, the seed and the size
+        kf = KeyFile(key=cyclic_automaton(order), seed=SEED)
+        buf = write_key(kf)
+        for head in (buf, buf[:44]):
+            assert key_header(head) == (order, kf.seed, len(buf))
 
     def test_roundtrip_reserializes_identically(self):
         blob = write_key(z3_keyfile())
@@ -153,10 +161,10 @@ class TestKeyCorruption:
     def test_order_above_ceiling_refused_from_header(self):
         # the header alone fixes the size, so no table need follow it
         head = KEY_MAGIC + struct.pack(">I", MAX_KEY_ORDER) + SEED
-        assert key_file_size(head) == 44 + 2 * MAX_KEY_ORDER ** 2 + 4
+        assert key_header(head)[2] == 44 + 2 * MAX_KEY_ORDER ** 2 + 4
         head = KEY_MAGIC + struct.pack(">I", MAX_KEY_ORDER + 1) + SEED
         with pytest.raises(OutOfRange, match="key order"):
-            key_file_size(head)
+            key_header(head)
         with pytest.raises(OutOfRange, match="key order"):
             read_key(head)
 

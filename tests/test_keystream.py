@@ -87,11 +87,14 @@ class TestSymbolExtraction:
         got = KeystreamReader(spec(order=256)).take(512)
         assert got.tobytes() == raw
 
-    def test_power_of_two_masks_raw_bytes(self):
+    @pytest.mark.parametrize("order", [2, 16, 1024])
+    def test_power_of_two_masks_raw_bytes(self, order):
+        wire = ">u1" if order <= 256 else ">u2"
         chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
-        raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 512)
-        got = KeystreamReader(spec(order=16)).take(512)
-        assert np.array_equal(got, np.frombuffer(raw, dtype=np.uint8) & 15)
+        raw = Cipher(chacha, mode=None).encryptor().update(b"\x00" * 1024)
+        words = np.frombuffer(raw, dtype=wire)
+        got = KeystreamReader(spec(order=order)).take(len(words))
+        assert np.array_equal(got, words & (order - 1))
 
     def test_rejection_matches_scalar_oracle(self):
         # independent scalar re-implementation of the rejection rule
@@ -149,7 +152,7 @@ class TestRejectionOracle:
         assert reader.bytes_read == used * width
         assert reader.rejected == sum(w >= limit for w in words[:used])
 
-    @pytest.mark.parametrize("order", [16, 256, 65536])
+    @pytest.mark.parametrize("order", [2, 16, 256, 1024, 65536])
     def test_power_of_two_rejects_nothing(self, order):
         reader = KeystreamReader(spec(order=order))
         reader.take(10_000)

@@ -227,7 +227,7 @@ def _key_bytes(fh, head: bytes) -> memoryview:
     a pipe, so a large file that is not a key costs no more than its header.
     """
     head += fh.read(KEY_HEADER_BYTES - len(head))
-    _, _, size = key_header(head)
+    size = key_header(head)[2]
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode) and st.st_size != size:
         raise LengthMismatch(f"key file has {st.st_size} bytes, its header gives {size}")

@@ -133,7 +133,7 @@ def write_key(kf: KeyFile) -> bytearray:
 def key_header(head: bytes) -> tuple[int, bytes, int]:
     """The order, the keystream seed and the file size in the header of the
     key file whose first bytes are `head`. This is the one place a key
-    header is decoded: read_key and the CLI's key reads all call it.
+    header is decoded.
 
     `head` need hold no more than KEY_HEADER_BYTES, so a reader can refuse
     an order above MAX_KEY_ORDER, or one it cannot use, before it reads or

@@ -281,12 +281,18 @@ def test_golden_ciphertext(n, m, engine):
 
 # As GOLDEN_SHA256, for messages of 2 * 65536 + 3 symbols: long enough to
 # cross every boundary of a kernel that works in chunks of up to 64Ki symbols.
+# At m = 254 a chunk holds 4128 symbols (_CHUNK_KEYSTREAM // m), so that case
+# crosses 31 chunk boundaries. The even-m cases at order 256 were computed
+# before the kernel read its keystream as two-symbol lanes.
 LONG_LEN = 2 * 65536 + 3
 LONG_SHA256 = {
     (5, 1): "7ecdfd7cf558833e349a0e0d3e24684762b812b00ee2fa64dc538ecb9d8597e0",
     (5, 3): "68449cbc2c9032860949d02575fb6c878389b355e87ff440090863c70499d0b5",
     (256, 1): "46123b19910d630bba7be5a10ba29bd4d35cd373bfd71aa76f0a719faadb7ebe",
+    (256, 2): "f4607c4b37f609095df898e5c75285741ea29f1540dd5328450d4f4fce3cd785",
     (256, 3): "90c71b54286c41f5904a1ecf4f50570278f9d330a9d0b60be925488612ab52c3",
+    (256, 16): "73253d2761de5e77749a873c5e40fd0386a238911a833a5a3a82fd51fec2356c",
+    (256, 254): "74d157416e57f0a01a950188011dd0f6bc0733c3684bb6dfaeed2b854d593261",
     (300, 1): "4d39b0c3cb2efdb3b9dc4c67704b116f5187bc507971da7e566bd08219dd2350",
     (300, 3): "3921d23a348894c9873ddae69e8fa0211d53f56a412cd6a2bcc312ac48deb7c8",
 }

@@ -6,7 +6,12 @@ same lookups fold the block through the product. Decryption runs the
 mirrored block on the key's row inverse, which is also left division.
 Messages go through one vectorised kernel, `_chain`; the scalar readings
 (`KeyAutomaton.last_state`, `fold_mul`, `fold_left_div`) are its test
-oracles. Since c_i depends only on p_i and r_i, the kernel runs in fixed
+oracles. The kernel runs m rounds per chunk, one per block symbol, after
+transposing the chunk's keystream so that each round reads one contiguous
+row. At order 256, the one order of the CLI's keys, and an even m, it
+transposes two block symbols at once as one uint16 lane, and each round
+takes k * 256 from its byte of a lane by a shift or a mask instead of a
+multiply. Since c_i depends only on p_i and r_i, the kernel runs in fixed
 chunks of message symbols with narrow table indices, so its working memory
 does not grow with the message length; a chunk also holds at most
 _CHUNK_KEYSTREAM keystream symbols, so it does not grow with m either. For
@@ -26,6 +31,8 @@ every round.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .automaton import KeyAutomaton
@@ -39,6 +46,11 @@ ENGINES = ("fa", "qg")
 _CHUNK = 1 << 16
 # Keystream symbols per pass at most: bounds that memory for every m.
 _CHUNK_KEYSTREAM = 1 << 20
+# _chain's lane rounds (order 256, even m): rounds j with j % 2 == _LOW read
+# the low byte of a lane and shift it, the others mask the high byte. The
+# operands are built once, not on every call.
+_LOW = 0 if sys.byteorder == "little" else 1
+_SHIFT, _MASK = np.uint16(8), np.uint16(0xFF00)
 
 
 class CipherSession:
@@ -149,6 +161,19 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     when `out` is `start`: each chunk's first round has read its start
     symbols into the index before its gather writes that slice.
 
+    At n = 256 and even m the chunk's keystream is narrowed to bytes and
+    viewed as native uint16 lanes, two block symbols each, and laid out as
+    (m / 2, c) lanes: the same bytes as the (m, c) copy in half the rows,
+    and a transpose that moves half as many elements. Round j reads lane
+    j // 2. On a little-endian host block symbol 2t is the lane's low byte
+    and 2t + 1 its high byte; a big-endian host swaps them. The index
+    k * 256 is the low byte shifted up 8, or the high byte masked with
+    0xFF00, in the uint16 index buffer. Every other (n, m) multiplies its
+    byte or word row by n. Keystream symbols are range-checked before they
+    are narrowed: the narrowing keeps only the low byte, so a symbol 256
+    from a stream of wider integers would become 0, a valid symbol, and
+    pass a check made after it.
+
     Invariant: every index is below n * n. The caller's symbols and the
     table's entries lie in [0, n), and each chunk's keystream symbols pass
     require_symbols before its first round; the check scans nothing
@@ -167,18 +192,27 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
         out = np.empty(len(start), dtype=table.dtype)
     index_buf = np.empty(min(chunk, len(start)), dtype=idx_dtype)
     rounds = range(m - 1, -1, -1) if reverse else range(m)
+    lanes = n == 256 and m % 2 == 0
     for lo in range(0, len(start), chunk):
         state = start[lo:lo + chunk]
         c = len(state)
         # rebinding drops the last chunk's blocks before this chunk's copy
         blocks = require_symbols(stream.take(c * m), n)
-        blocks = np.ascontiguousarray(blocks.reshape(c, m).T)
+        if lanes:
+            blocks = blocks.astype(np.uint8, copy=False).view(np.uint16)
+        blocks = np.ascontiguousarray(blocks.reshape(c, -1).T)
         index = index_buf[:c]
         for j in rounds:
-            # The loop type is pinned: NumPy 1.x would pick it from the
-            # value of `width` (uint8 at n = 200) and wrap k * n.
-            np.multiply(blocks[j], width, out=index, dtype=idx_dtype,
-                        casting="unsafe")
+            if not lanes:
+                # The loop type is pinned: NumPy 1.x would pick it from the
+                # value of `width` (uint8 at n = 200) and wrap k * n.
+                np.multiply(blocks[j], width, out=index, dtype=idx_dtype,
+                            casting="unsafe")
+            elif j % 2 == _LOW:
+                # uint16 lanes and operands: one loop type in NumPy 1.x and 2
+                np.left_shift(blocks[j // 2], _SHIFT, out=index)
+            else:
+                np.bitwise_and(blocks[j // 2], _MASK, out=index)
             np.add(index, state, out=index, casting="unsafe")
             state = np.take(flat, index, out=out[lo:lo + c], mode="clip")
     return out

@@ -357,13 +357,14 @@ def test_fortran_order_key_costs_no_table_copy():
     assert peak < 64 << 10, peak
 
 
-@pytest.mark.parametrize("m, length", [(16, 1 << 20), (500, 1 << 16)])
+@pytest.mark.parametrize("m, length", [(16, 1 << 20), (255, 1 << 16), (500, 1 << 16)])
 def test_kernel_holds_one_chunk_of_blocks(key256, m, length):
-    # At order 256 a chunk's keystream and its (m, c) copy are at most
-    # 1 MiB each, and with the index buffer the kernel's working memory
-    # reads about 2.1 MiB; keeping the last chunk's copy alive while the
-    # next one is made reads about 3.1 MiB. A chunk of 65536 symbols at
-    # m=500 would read about 62 MiB.
+    # At order 256 a chunk's keystream and its (m, c) copy, or its
+    # (m / 2, c) copy of uint16 lanes at even m, are at most 1 MiB each,
+    # and with the index buffer the kernel's working memory reads about
+    # 2.1 MiB; keeping the last chunk's copy alive while the next one is
+    # made reads about 3.1 MiB. A chunk of 65536 symbols at m=500 would
+    # read about 62 MiB.
     msg = np.random.default_rng(7).integers(0, 256, length).astype(np.uint8)
     s = CipherSession(key256, SEED, NONCE, m)
     tracemalloc.start()
@@ -378,14 +379,17 @@ def test_kernel_holds_one_chunk_of_blocks(key256, m, length):
 @pytest.mark.parametrize("n", [5, 256, 300, 1000])
 @pytest.mark.parametrize("bad", ["n", -1])
 @pytest.mark.parametrize("reverse", [False, True])
-def test_keystream_symbol_outside_order_refused(n, bad, reverse):
+@pytest.mark.parametrize("m", [3, 4])
+def test_keystream_symbol_outside_order_refused(n, bad, reverse, m):
     # Every flat index k * n + s must stay below n * n for the clip-mode
     # gather. At order 256, k = 256 or -1 would wrap inside the uint16 index
-    # and give output; at the other orders NumPy would raise IndexError.
+    # and give output; at the other orders NumPy would raise IndexError. At
+    # order 256 and m=4 the kernel narrows the keystream to bytes for its
+    # lanes, which would turn 256 into 0 had the check not come first.
     bad = n if bad == "n" else bad
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     table = table.astype(symbol_dtype(n))
-    m, start = 3, np.arange(4) % n
+    start = np.arange(4) % n
     stream = [1] * (len(start) * m)
     stream[7] = bad
     with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
@@ -393,11 +397,12 @@ def test_keystream_symbol_outside_order_refused(n, bad, reverse):
 
 
 @pytest.mark.parametrize("method", ["encrypt_message", "decrypt_message"])
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [1, 3, 4])
 def test_caller_symbols_read_in_place_and_never_written(key256, method, m):
     # The kernel's first round reads the caller's array in place, across two
     # chunks here: a read-only or an int64 array gives the bytes of the
-    # uint8 array and comes back as it was.
+    # uint8 array and comes back as it was, in the byte rounds and, at
+    # m=4, in the lane rounds.
     msg = np.random.default_rng(11).integers(0, 256, 65536 + 3).astype(np.uint8)
     want = getattr(session(key256, m=m), method)(msg)
     for given in (np.frombuffer(msg.tobytes(), dtype=np.uint8), msg.astype(np.int64), msg):

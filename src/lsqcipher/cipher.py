@@ -151,7 +151,8 @@ def _chain(table: np.ndarray, start: np.ndarray, stream, m: int,
     Symbol i depends only on start[i] and block i, so the message goes
     through in chunks of c = min(_CHUNK, _CHUNK_KEYSTREAM // m) symbols (at
     least one), each reading its c * m keystream symbols in one `take` and
-    laying them out as (m, c), which at m = 1 is the keystream array itself.
+    laying them out as (m, c), which at m = 1 is the keystream array itself,
+    or as (m / 2, c) lanes at order 256 and even m (below).
     Each round builds its flat indices k * n + state in one reused buffer of
     the narrowest type that holds them and gathers into the output slice, so
     working memory is bounded by the chunk, not by the message length or m.

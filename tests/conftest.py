@@ -1,10 +1,21 @@
+import contextlib
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lsqcipher
 from lsqcipher.automaton import KeyAutomaton
 from lsqcipher.latin import generate_latin, validate_latin
+
+# A child Python imports the package from this checkout.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
 
 
 def cyclic_table(n):
@@ -49,6 +60,29 @@ class ForcedStream:
         assert len(out) == count, "forced stream ran dry"
         self.pos += count
         return np.asarray(out, dtype=np.int64)
+
+
+@contextlib.contextmanager
+def traced():
+    """Trace allocations over the block. tracemalloc sees NumPy buffers too;
+    when the block ends, the probe's `peak` is its traced peak in bytes."""
+    probe = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield probe
+        probe.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def child_peak_kib(script, *argv):
+    """Run `script` with `argv` in a child Python that must exit 0, and
+    return the child's peak RSS (KiB on Linux) with the completed process."""
+    script += "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]), proc
 
 
 def all_words(alphabet, max_len):

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from lsqcipher.errors import NonceReuse
 from lsqcipher.keystream import KeystreamReader, KeystreamSpec
 from lsqcipher.latin import LatinSquare, fold_left_div, fold_mul, symbol_dtype
 
-from conftest import ForcedStream, random_automaton
+from conftest import ForcedStream, random_automaton, traced
 
 SEED = bytes(range(32))
 NONCE = b"\x01" * 12
@@ -328,13 +327,9 @@ def test_working_memory_independent_of_length(n):
     for length in (1 << 20, 4 << 20):
         msg = rng.integers(0, n, length).astype(symbol_dtype(n))
         s = CipherSession(key, SEED, NONCE, 16)
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             ct = s.encrypt_message(msg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - ct.nbytes)
+        extra.append(probe.peak - ct.nbytes)
     assert abs(extra[1] - extra[0]) < 1 << 20
     assert max(extra) < 16 << 20
 
@@ -348,13 +343,9 @@ def test_fortran_order_key_costs_no_table_copy():
     key = KeyAutomaton(n, LatinSquare(n, np.asfortranarray(square.entries)))
     assert key.delta == square
     s = CipherSession(key, SEED, NONCE, 4)
-    tracemalloc.start()
-    try:
+    with traced() as probe:
         s.encrypt_message(np.arange(100, dtype=np.uint16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 10, peak
+    assert probe.peak < 64 << 10, probe.peak
 
 
 @pytest.mark.parametrize("m, length", [(16, 1 << 20), (255, 1 << 16), (500, 1 << 16)])
@@ -367,13 +358,9 @@ def test_kernel_holds_one_chunk_of_blocks(key256, m, length):
     # read about 62 MiB.
     msg = np.random.default_rng(7).integers(0, 256, length).astype(np.uint8)
     s = CipherSession(key256, SEED, NONCE, m)
-    tracemalloc.start()
-    try:
+    with traced() as probe:
         ct = s.encrypt_message(msg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - ct.nbytes < 2.5 * (1 << 20), (peak - ct.nbytes) / (1 << 20)
+    assert probe.peak - ct.nbytes < 2.5 * (1 << 20), (probe.peak - ct.nbytes) / (1 << 20)
 
 
 @pytest.mark.parametrize("n", [5, 256, 300, 1000])

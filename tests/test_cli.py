@@ -6,14 +6,12 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsqcipher
 from lsqcipher import cli, keystream
 from lsqcipher.cli import (
     EXIT_CHECKSUM,
@@ -35,7 +33,7 @@ from lsqcipher.codec import (
 )
 from lsqcipher.latin import MAX_KEY_ORDER, LatinSquare
 
-from conftest import kept_row_inverse
+from conftest import CHILD_ENV, child_peak_kib, kept_row_inverse, traced
 
 FORCED_NONCE = "0102030405060708090a0b0c"
 MIB = 1 << 20
@@ -265,13 +263,11 @@ class TestKeyHeaderFirst:
         # A child process names a sparse file that opens with a key header
         # as a key, to inspect and to encrypt, and reports its own peak RSS;
         # reading the file would peak higher by its size.
-        child = ("import os, resource, sys\n"
+        child = ("import os, sys\n"
                  "from lsqcipher.cli import main\n"
                  "key, src = sys.argv[1:]\n"
                  "assert main(['inspect', key]) == 3\n"
-                 "assert main(['encrypt', '--key', key, '--in', src, '--out', os.devnull]) == 3\n"
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+                 "assert main(['encrypt', '--key', key, '--in', src, '--out', os.devnull]) == 3\n")
         key, src = tmp_path / "k", tmp_path / "p"
         src.write_bytes(b"x")
         peak_kib = []
@@ -279,11 +275,9 @@ class TestKeyHeaderFirst:
             with open(key, "wb") as fh:
                 fh.write(key_header(256))
                 fh.truncate(mib * MIB)
-            proc = subprocess.run([sys.executable, "-c", child, str(key), str(src)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            peak, proc = child_peak_kib(child, str(key), str(src))
             assert proc.stderr.count("its header gives 65584") == 2, proc.stderr
-            peak_kib.append(int(proc.stdout.split()[-1]))
+            peak_kib.append(peak)
             key.unlink()
         assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
 
@@ -303,12 +297,9 @@ class TestStreamingInput:
         for argv in (["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(ct),
                       "-m", str(m)],
                      ["decrypt", "--key", str(keyfile), "--in", str(ct), "--out", str(back)]):
-            tracemalloc.start()
-            try:
+            with traced() as probe:
                 code = main(argv)
-                peaks.append((argv[0], tracemalloc.get_traced_memory()[1]))
-            finally:
-                tracemalloc.stop()
+            peaks.append((argv[0], probe.peak))
             assert code == 0
         assert back.read_bytes() == src.read_bytes()
         return peaks
@@ -410,13 +401,11 @@ class TestStreamingInput:
         # A child process encrypts and decrypts one file at m=1 and reports
         # its own peak RSS; a whole-file CLI would peak several times the
         # file size higher on the larger file.
-        child = ("import os, resource, sys\n"
+        child = ("import os, sys\n"
                  "from lsqcipher.cli import main\n"
                  "key, src, ct = sys.argv[1:]\n"
                  "assert main(['encrypt', '--key', key, '--in', src, '--out', ct, '-m', '1']) == 0\n"
-                 "assert main(['decrypt', '--key', key, '--in', ct, '--out', os.devnull]) == 0\n"
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+                 "assert main(['decrypt', '--key', key, '--in', ct, '--out', os.devnull]) == 0\n")
         rng = np.random.default_rng(5)
         peak_kib = []
         for mib in (16, 64):
@@ -424,10 +413,7 @@ class TestStreamingInput:
             with open(src, "wb") as fh:
                 for _ in range(mib):
                     fh.write(rng.bytes(1 << 20))
-            proc = subprocess.run([sys.executable, "-c", child, str(keyfile), str(src), str(ct)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            peak_kib.append(int(proc.stdout.split()[-1]))
+            peak_kib.append(child_peak_kib(child, str(keyfile), str(src), str(ct))[0])
             src.unlink()
             ct.unlink()
         assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
@@ -478,9 +464,8 @@ FSIZE_LIMITED_CLI = ("import resource, signal, sys\n"
 
 
 def run_fsize_limited(argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", FSIZE_LIMITED_CLI, *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=300)
 
 
 class TestOutputReplaced:
@@ -702,15 +687,11 @@ def test_key_of_another_order_refused_from_its_header(tmp_path, capsys, command)
     assert main(["keygen", "-n", "1024", "--out", str(key)]) == 0
     src.write_bytes(b"x")
     capsys.readouterr()
-    tracemalloc.start()
-    try:
+    with traced() as probe:
         code = main([command, "--key", str(key), "--in", str(src), "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == EXIT_USAGE
     assert "need an order-256 key" in capsys.readouterr().err
-    assert peak < MIB, peak
+    assert probe.peak < MIB, probe.peak
     assert not out.exists()
 
 
@@ -779,16 +760,14 @@ class TestInspect:
             os.mkfifo(path)
             writer = threading.Thread(target=path.write_bytes, args=(blob,))
             writer.start()
-        tracemalloc.start()
         try:
-            assert main(["inspect", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            with traced() as probe:
+                assert main(["inspect", str(path)]) == 0
         finally:
-            tracemalloc.stop()
             if writer:
                 writer.join()
         assert "order: 1024" in capsys.readouterr().out
-        assert peak <= 2.4 * len(blob), peak / len(blob)
+        assert probe.peak <= 2.4 * len(blob), probe.peak / len(blob)
 
     def test_container_through_pipe_refused(self, tmp_path, keyfile, capsys):
         # a pipe has no size to check the header's framing against
@@ -852,11 +831,9 @@ class TestInspect:
     def test_peak_memory_flat_in_container_size(self, tmp_path, order):
         # A child process inspects one container and reports its own peak
         # RSS; reading the whole file would peak higher by its size.
-        child = ("import resource, sys\n"
+        child = ("import sys\n"
                  "from lsqcipher.cli import main\n"
-                 "assert main(['inspect', sys.argv[1]]) == 0\n"
-                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(lsqcipher.__file__).parents[1]))
+                 "assert main(['inspect', sys.argv[1]]) == 0\n")
         width = 1 if order == 256 else 2
         chunk = np.random.default_rng(order).integers(0, order, MIB // width)
         chunk = chunk.astype(">u2" if width == 2 else np.uint8).tobytes()
@@ -869,10 +846,7 @@ class TestInspect:
                 for _ in range(mib):
                     fh.write(chunk)
                 fh.write(bytes(4))
-            proc = subprocess.run([sys.executable, "-c", child, str(path)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            peak_kib.append(int(proc.stdout.split()[-1]))
+            peak_kib.append(child_peak_kib(child, str(path))[0])
             path.unlink()
         assert abs(peak_kib[1] - peak_kib[0]) <= 8 << 10, peak_kib
 

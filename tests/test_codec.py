@@ -1,6 +1,5 @@
 import functools
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -33,7 +32,7 @@ from lsqcipher.errors import (
 
 from lsqcipher.latin import MAX_KEY_ORDER, symbol_dtype
 
-from conftest import cyclic_automaton, random_automaton
+from conftest import cyclic_automaton, random_automaton, traced
 
 SEED = bytes(range(32))
 NONCE = bytes(range(12))
@@ -86,25 +85,17 @@ class TestKeyGolden:
         # block buffers; slices of the key body for the CRC and the table
         # would add 2x
         blob = write_key(KeyFile(key=random_automaton(1000), seed=SEED))
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             read_key(blob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * len(blob)
+        assert probe.peak <= 2.2 * len(blob)
 
     def test_write_builds_only_the_key_file(self):
         # one buffer for the whole file: no wire-order copy of the table and
         # no concatenation beside it, so keygen peaks at about 2x the table
         kf = KeyFile(key=random_automaton(1024), seed=SEED)
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             blob = write_key(kf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * len(blob)
+        assert probe.peak <= 1.1 * len(blob)
         assert read_key(blob).key.delta == kf.key.delta
 
     def test_write_rejects_short_seed(self):
@@ -228,13 +219,9 @@ class TestContainer:
         # one buffer for the whole container: no wire-order copy of the
         # payload and no concatenation beside it
         ct = container(order=1000, payload=rng.integers(0, 1000, 1 << 20))
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             blob = write_container(ct)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * len(blob)
+        assert probe.peak <= 1.1 * len(blob)
         assert np.array_equal(read_container(blob).payload, ct.payload)
 
     @pytest.mark.parametrize("order", [256, 1000])
@@ -242,13 +229,9 @@ class TestContainer:
         # the payload is a wire-order view of the container bytes at every order
         blob = bytes(write_container(container(order=order,
                                                payload=rng.integers(0, order, 1 << 20))))
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             payload = read_container(blob).payload
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert probe.peak < 64 * 1024
         assert np.shares_memory(payload, np.frombuffer(blob, np.uint8))
 
     def test_m_zero_rejected_on_write(self):

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from lsqcipher.keystream import (
     KeystreamReader,
     KeystreamSpec,
 )
+
+from conftest import traced
 
 SEED = bytes(range(32))
 NONCE = b"\x07" * 12
@@ -196,13 +197,9 @@ class TestCopyFree:
         # 2 MiB of ChaCha20 output at order 65536 crosses the 1 MiB slices
         # the reader encrypts its zeros in.
         reader = KeystreamReader(spec(order=order))
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             got = reader.take(1 << 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * got.nbytes
+        assert probe.peak <= 1.1 * got.nbytes
         chacha = algorithms.ChaCha20(SEED, b"\x00" * 4 + NONCE)
         raw = Cipher(chacha, mode=None).encryptor().update(bytes(got.nbytes))
         words = np.frombuffer(raw, dtype=">u2" if order > 256 else np.uint8)
@@ -214,10 +211,6 @@ class TestCopyFree:
         # block at a time, so beside the result a read holds one block's
         # acceptance mask and at most two blocks' accepted words (1.11-1.19x)
         reader = KeystreamReader(spec(order=order))
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             got = reader.take(1 << 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * got.nbytes
+        assert probe.peak <= 1.3 * got.nbytes

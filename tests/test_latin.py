@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from lsqcipher.latin import (
     validate_latin,
 )
 
-from conftest import cyclic_table, kept_row_inverse, scalar_row_inverse
+from conftest import cyclic_table, kept_row_inverse, scalar_row_inverse, traced
 
 # validate_latin names violations the same with and without the inverse
 INVERSE = (False, True)
@@ -341,13 +340,9 @@ class TestBlockedPasses:
         # n x n mask beside the copy would read about 1.57x
         sq = generate_latin(1024, b"mem")
         for table in (sq.entries, sq.entries.astype(">u2")):
-            tracemalloc.start()
-            try:
+            with traced() as probe:
                 validate_latin(table)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.3 * sq.entries.nbytes, peak / sq.entries.nbytes
+            assert probe.peak <= 1.3 * sq.entries.nbytes, probe.peak / sq.entries.nbytes
 
 
 class TestKeyOrderCeiling:
@@ -359,14 +354,9 @@ class TestKeyOrderCeiling:
         # a broadcast view holds one byte, so only a check ahead of the
         # square's copy keeps this from allocating the whole table
         table = np.broadcast_to(np.zeros(1, dtype=np.uint8), (MAX_KEY_ORDER + 1,) * 2)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionMismatch, match="key order"):
-                validate_latin(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced() as probe, pytest.raises(DimensionMismatch, match="key order"):
+            validate_latin(table)
+        assert probe.peak < 1 << 20
 
 
 class TestGenerate:
@@ -430,23 +420,15 @@ class TestGenerate:
 
     def test_jm_walk_memory_is_quadratic(self):
         # an n^3 incidence cube alone would take 128 MiB at n = 512
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             generate_latin(512, b"mem", walk_steps=100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 << 20
+        assert probe.peak <= 16 << 20
 
     def test_isotopy_peak_memory_is_the_table(self):
         # two n^2 int64 index arrays (r + c and its % n) would peak at 8x
-        tracemalloc.start()
-        try:
+        with traced() as probe:
             sq = generate_latin(1024, b"mem")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * sq.entries.nbytes
+        assert probe.peak <= 1.25 * sq.entries.nbytes
 
     def test_negative_walk_steps_rejected(self):
         with pytest.raises(ValueError, match="walk steps must be >= 0"):
